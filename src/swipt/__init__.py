@@ -23,7 +23,6 @@ from .moments import (
     empirical_profile,
     gaussian_profile,
     q_tilde,
-    q_tilde_intermediate,
 )
 from .rectenna import (
     ChannelParams,
@@ -36,7 +35,6 @@ from .series import (
     SERIES_IDS,
     SeriesReport,
     analytic_value,
-    brute_force_double_sum,
     evaluate,
     partial_sum,
     s_coeff,
@@ -76,9 +74,9 @@ __all__ = [
     "__version__",
     # series
     "SERIES_IDS", "SeriesReport", "s_coeff", "analytic_value", "partial_sum",
-    "brute_force_double_sum", "evaluate", "verify",
+    "evaluate", "verify",
     # moments
-    "MomentProfile", "DerivedMoments", "q_tilde", "q_tilde_intermediate",
+    "MomentProfile", "DerivedMoments", "q_tilde",
     "derived_moments", "gaussian_profile", "empirical_profile",
     # rectenna
     "ChannelParams", "RectennaCoeffs", "coeffs", "delivered_power",

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -64,6 +65,14 @@ def _reject_unknown(data, known, what):
         raise ConfigError(f"unknown {what} keys: {unknown}")
 
 
+def _integers(data, what):
+    # Integral floats such as 2e5 are accepted; 1.9 is an error, not 1.
+    for key, value in data.items():
+        if isinstance(value, float) and not value.is_integer():
+            raise ConfigError(f"{what}.{key} must be an integer, got {value!r}")
+    return {key: int(value) for key, value in data.items()}
+
+
 @dataclass(frozen=True)
 class McConfig:
     """Monte-Carlo run sizing and seeding."""
@@ -80,7 +89,7 @@ class McConfig:
     @classmethod
     def from_dict(cls, data):
         _reject_unknown(data, ("n_symbols", "oversample", "window", "seed"), "mc")
-        return cls(**{k: int(v) for k, v in data.items()})
+        return cls(**_integers(data, "mc"))
 
 
 @dataclass(frozen=True)
@@ -95,7 +104,7 @@ class SweepConfig:
     @classmethod
     def from_dict(cls, data):
         _reject_unknown(data, ("n_points",), "sweep")
-        return cls(**{k: int(v) for k, v in data.items()})
+        return cls(**_integers(data, "sweep"))
 
 
 @dataclass(frozen=True)
@@ -130,10 +139,12 @@ class RunConfig:
     output: OutputConfig = OutputConfig()
 
     def __post_init__(self):
-        if not self.P_a > 0.0:
-            raise ConfigError("P_a must be positive")
-        object.__setattr__(self, "targets",
-                           tuple(float(t) for t in self.targets))
+        if not (math.isfinite(self.P_a) and self.P_a > 0.0):
+            raise ConfigError(f"P_a must be positive and finite, got {self.P_a!r}")
+        targets = tuple(float(t) for t in self.targets)
+        if not all(math.isfinite(t) for t in targets):
+            raise ConfigError(f"targets must be finite, got {list(targets)!r}")
+        object.__setattr__(self, "targets", targets)
 
     def as_dict(self):
         return {

@@ -20,7 +20,6 @@ __all__ = [
     "MomentProfile",
     "DerivedMoments",
     "q_tilde",
-    "q_tilde_intermediate",
     "derived_moments",
     "gaussian_profile",
     "empirical_profile",
@@ -127,21 +126,6 @@ def derived_moments(profile):
     p_bar = complex(p.P_r - p.P_i, 2.0 * p.mu_r * p.mu_i)
     t_bar = complex(p.T_r + p.mu_r * p.P_i, p.P_r * p.mu_i + p.T_i)
     return DerivedMoments(total_p, total_q, mu, p_bar, t_bar, q_tilde(p))
-
-
-def q_tilde_intermediate(profile):
-    """Same quantity as q_tilde via the complex pseudo-moment route.
-
-    (1/3)[Q + 4P(P - |mu|^2) + 2(|P_bar|^2 - Re{P_bar mu*^2}) + 2 Re{T_bar mu*}]
-    — algebraically identical to q_tilde; kept as an independent expression
-    so the expansion can be property-tested.
-    """
-    d = derived_moments(profile)
-    mu_c = d.mu.conjugate()
-    mu2 = abs(d.mu) ** 2
-    pseudo = abs(d.P_bar) ** 2 - (d.P_bar * mu_c * mu_c).real
-    third = (d.T_bar * mu_c).real
-    return (d.Q + 4.0 * d.P * (d.P - mu2) + 2.0 * pseudo + 2.0 * third) / 3.0
 
 
 def gaussian_profile(mu_r, mu_i, var_r, var_i):

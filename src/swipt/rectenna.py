@@ -8,6 +8,7 @@ the moments module, weighted by channel-dependent coefficients.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 from .moments import derived_moments
@@ -42,10 +43,16 @@ class ChannelParams:
     def __post_init__(self):
         object.__setattr__(self, "h", complex(self.h))
         object.__setattr__(self, "h_tilde", complex(self.h_tilde))
+        for name in ("h", "h_tilde", "sigma_w2", "f_w", "k2", "k4"):
+            value = getattr(self, name)
+            if not cmath.isfinite(value):
+                raise ValueError(f"channel field {name} must be finite, got {value!r}")
         if not self.sigma_w2 > 0.0:
             raise ValueError("sigma_w2 must be positive")
         if not self.f_w > 0.0:
             raise ValueError("f_w must be positive")
+        if not self.k4 >= 0.0:
+            raise ValueError("k4 must be nonnegative")
 
     def as_dict(self):
         return {

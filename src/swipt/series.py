@@ -5,8 +5,8 @@ X((k + 1/2)/f_w) = sum_n X_n * s_{k-n} midway between samples, with
 s_l = sinc(l + 1/2).  Sums of products of these coefficients up to fourth
 order collapse to simple rationals; they are what turns the harvested-power
 time average into a closed form.  This module exposes the closed forms next
-to truncated-window evaluation and direct enumeration so each reduction can
-be cross-checked numerically.
+to their truncated-window evaluation so each reduction can be cross-checked
+numerically.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ __all__ = [
     "s_coeff",
     "analytic_value",
     "partial_sum",
-    "brute_force_double_sum",
     "evaluate",
     "verify",
 ]
@@ -43,11 +42,6 @@ _ANALYTIC = {
     "S5": 1.0 / 3.0,
     "S6": 1.0 / 6.0,
 }
-
-_PAIR_IDS = ("S1", "S3", "S6")
-_HIGHER_IDS = ("S2", "S4")
-_PAIR_WINDOW_MAX = 2000
-_HIGHER_WINDOW_MAX = 200
 
 
 def s_coeff(l):
@@ -123,79 +117,6 @@ def partial_sum(series_id, n_terms):
         return (t0 * t0 - s0) * s0 - 2.0 * t0 * t1 + 2.0 * s5
     # S2: distinct-quadruple sum; Newton's identity for 24*e4 in the power sums.
     return t0**4 - 6.0 * t0 * t0 * s0 + 3.0 * s0 * s0 + 8.0 * t0 * t1 - 6.0 * s5
-
-
-def brute_force_double_sum(series_id, window):
-    """Direct enumeration of the distinct-index sums on [-window, window].
-
-    Independent cross-check for the reductions in partial_sum.  S1/S3/S6
-    enumerate every (l, k) pair (window <= 2000).  S4 enumerates a masked
-    (k, d) grid per l, and S2 enumerates the (l, k) grid against the exact
-    window value of the remaining pair-excluded double sum; both are capped
-    at window 200.
-    """
-    _check_id(series_id)
-    w = int(window)
-    if w < 1:
-        raise ValueError("window must be >= 1")
-    if series_id in _PAIR_IDS:
-        if w > _PAIR_WINDOW_MAX:
-            raise ValueError(
-                f"window {w} too large for pair enumeration (max {_PAIR_WINDOW_MAX})")
-        s = s_coeff(np.arange(-w, w + 1))
-        if series_id == "S1":
-            return _pair_sum_distinct(s, s)
-        if series_id == "S3":
-            return _pair_sum_distinct(s * s, s * s)
-        return _pair_sum_distinct(s**3, s)
-    if series_id in _HIGHER_IDS:
-        if w > _HIGHER_WINDOW_MAX:
-            raise ValueError(
-                f"window {w} too large for {series_id} (max {_HIGHER_WINDOW_MAX})")
-        s = s_coeff(np.arange(-w, w + 1))
-        if series_id == "S4":
-            return _triple_sum_distinct(s)
-        return _quad_sum_distinct(s)
-    raise ValueError(f"{series_id} is a single-index sum; use partial_sum")
-
-
-def _pair_sum_distinct(a, b, block=512):
-    # sum over l != k of a_l * b_k, by blocks of rows of the full grid with
-    # the diagonal zeroed.
-    total = 0.0
-    for i in range(0, a.size, block):
-        chunk = a[i:i + block, None] * b[None, :]
-        rows = np.arange(chunk.shape[0])
-        chunk[rows, i + rows] = 0.0
-        total += chunk.sum()
-    return total
-
-
-def _triple_sum_distinct(s):
-    # sum over l of s_l^2 * (sum over k != d, both != l, of s_k * s_d)
-    grid = np.outer(s, s)
-    np.fill_diagonal(grid, 0.0)
-    total = 0.0
-    for li in range(s.size):
-        g = grid.copy()
-        g[li, :] = 0.0
-        g[:, li] = 0.0
-        total += s[li] ** 2 * g.sum()
-    return total
-
-
-def _quad_sum_distinct(s):
-    # For each ordered pair (l, k), the remaining double sum over distinct
-    # d, m excluding both has the exact window value
-    # (T0 - s_l - s_k)^2 - (S0 - s_l^2 - s_k^2).
-    t0 = s.sum()
-    s0 = (s * s).sum()
-    sl = s[:, None]
-    sk = s[None, :]
-    inner = (t0 - sl - sk) ** 2 - (s0 - sl * sl - sk * sk)
-    outer = sl * sk * inner
-    np.fill_diagonal(outer, 0.0)
-    return float(outer.sum())
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve, resample
 
 from .moments import MomentProfile, derived_moments, gaussian_profile
 from .rectenna import delivered_power
@@ -214,9 +213,34 @@ def half_sample_value(symbols, k, window):
 def _half_samples(symbols, window):
     # Truncated mid-sample interpolation at every index; entries within
     # `window` of either edge see zero-padding and must be discarded by the
-    # caller (the guard regions below).
-    full = fftconvolve(symbols, _kernel(window))
-    return full[window:window + symbols.size]
+    # caller (the guard regions below).  The kernel is real, so the real and
+    # imaginary parts are convolved separately by real FFTs, at a power-of-two
+    # length covering the full linear convolution.
+    kern = _kernel(window)
+    n = symbols.size
+    size = 1 << (n + kern.size - 2).bit_length()
+    kern_spectrum = np.fft.rfft(kern, size)
+    out = np.empty(n, dtype=complex)
+    for part, dest in ((symbols.real, out.real), (symbols.imag, out.imag)):
+        dest[:] = np.fft.irfft(np.fft.rfft(part, size) * kern_spectrum,
+                               size)[window:window + n]
+    return out
+
+
+def _upsample(x, num):
+    # Band-limited interpolation of an even-length sequence onto num >= x.size
+    # points by zero-padding its spectrum; on a longer grid the unpaired
+    # Nyquist bin is split in half between +/- the old Nyquist frequency.
+    half = x.size // 2
+    spectrum = np.fft.fft(x)
+    padded = np.zeros(num, dtype=complex)
+    padded[:half + 1] = spectrum[:half + 1]
+    padded[num - half + 1:] = spectrum[half + 1:]
+    if num > x.size:
+        padded[half] /= 2
+        padded[num - half] = padded[half]
+    padded /= x.size / num
+    return np.fft.ifft(padded, out=padded)
 
 
 @dataclass(frozen=True)
@@ -362,7 +386,7 @@ def mc_delivered_power(dist, ch, n_symbols, oversample, seed,
         interleaved = np.empty(2 * n, dtype=complex)
         interleaved[0::2] = y_even
         interleaved[1::2] = y_mid
-        fine = resample(interleaved, n * oversample)
+        fine = _upsample(interleaved, n * oversample)
         values = _integrand(fine[lo * oversample:hi * oversample], ch) / ch.f_w
         block_means = values.reshape(n_blocks, block_len * oversample).mean(axis=1)
         n_used = n_blocks * block_len * oversample

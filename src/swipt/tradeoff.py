@@ -1,12 +1,13 @@
 """Rate / harvested-power frontier for zero-mean Gaussian signalling.
 
 Along the full-budget line P_r + P_i = P_a the information rate is concave
-in the split and the harvested power is convex, maximal when everything
-rides one axis and minimal at the even split.  The solver here returns the
-rate-optimal split meeting a power target by bisection on that monotone
-stretch, the sweep tabulates the frontier, and kkt_check reconstructs
-first-order multipliers at a candidate point to certify (or falsify)
-stationarity.
+in the split and the harvested power is a quadratic in it,
+P(P_i) = pdc_max - 4*(alpha + alpha_tilde)*P_i*(P_a - P_i): maximal when
+everything rides one axis and minimal at the even split.  The solver here
+returns the rate-optimal split meeting a power target as the root of that
+quadratic, the sweep tabulates the frontier, and kkt_check solves the
+stationarity rows for the first-order multipliers at a candidate point to
+certify (or falsify) it.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .moments import gaussian_profile
 from .rectenna import coeffs, delivered_power, delivered_power_gaussian_zero_mean
@@ -123,13 +123,17 @@ def optimal_allocation(P_a, P_d, ch, tol=1e-9):
     Delivered power decreases strictly as the split evens out, so the best
     feasible point is the most symmetric split still delivering P_d: below
     pdc_min the unconstrained optimum (P_a/2, P_a/2) already qualifies;
-    beyond pdc_max nothing does (typed Infeasible); in between, bisection on
-    P_i in [0, P_a/2] finds the unique boundary point with power residual
-    within tol.  Output is canonicalized with P_r >= P_i; the mirrored split
+    beyond pdc_max * (1 + tol) nothing does (typed Infeasible); in between,
+    P_d = pdc_max - 4A*P_i*(P_a - P_i) with A = alpha + alpha_tilde > 0, whose
+    root below P_a/2 is P_i = q / (P_a/2 + sqrt((P_d - pdc_min)/(4A))),
+    q = (pdc_max - P_d)/(4A) — the form without cancellation near the
+    corner.  Output is canonicalized with P_r >= P_i; the mirrored split
     performs identically.
     """
-    if not P_a > 0.0:
-        raise ValueError("P_a must be positive")
+    if not (math.isfinite(P_a) and P_a > 0.0):
+        raise ValueError(f"P_a must be positive and finite, got {P_a!r}")
+    if not math.isfinite(P_d):
+        raise ValueError(f"P_d must be finite, got {P_d!r}")
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     power_even = pdc_min(P_a, ch)
@@ -141,20 +145,13 @@ def optimal_allocation(P_a, P_d, ch, tol=1e-9):
         return PowerAllocation(0.5 * P_a, 0.5 * P_a)
     if P_d >= power_corner:
         return PowerAllocation(P_a, 0.0)
-    lo, hi = 0.0, 0.5 * P_a
-    best_pi, best_res = lo, power_corner - P_d
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        res = delivered_power_gaussian_zero_mean(P_a - mid, mid, ch) - P_d
-        if abs(res) < abs(best_res):
-            best_pi, best_res = mid, res
-        if res > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 4.0 * np.finfo(float).eps * P_a:
-            break
-    return PowerAllocation(P_a - best_pi, best_pi)
+    c = coeffs(ch)
+    four_a = 4.0 * (c.alpha + c.alpha_tilde)
+    q = (power_corner - P_d) / four_a
+    # with A near the rounding level of pdc_min, the rounding error in
+    # pdc_max - pdc_min can push the root past P_a/2
+    p_i = min(q / (0.5 * P_a + math.sqrt((P_d - power_even) / four_a)), 0.5 * P_a)
+    return PowerAllocation(P_a - p_i, p_i)
 
 
 def rp_region(P_a, ch, n_points):
@@ -181,12 +178,22 @@ def kkt_check(alloc, mu_r, mu_i, P_a, P_d, ch, tol=1e-6):
     """First-order optimality check at a candidate (allocation, mean) point.
 
     The complementary-slackness pattern is read off the point first — any
-    slack constraint pins its multiplier at zero — and the remaining
-    stationarity system is solved by nonnegative least squares, so dual
-    feasibility is built in and a point admitting no valid multipliers
-    surfaces as a nonzero residual rather than a sign violation.  The mean
-    enters only the falsification equations: optimal points always sit at
-    mu = 0, where those equations vanish identically.
+    slack constraint pins its multiplier at zero — and the two stationarity
+    rows rate_d + lambda2*power_d' - lambda1 + zeta_d = 0 are then solved
+    directly for the nonnegative multipliers that fit them best:
+
+    * budget slack: every multiplier is 0.  The marginal rates are positive
+      and, with k2, k4 >= 0, every other multiplier only adds to them, so
+      nothing cancels them;
+    * lambda2 free and (rate_i - rate_r)/(grad_r - grad_i) > 0: lambda1 and
+      lambda2 from the 2x2 solve, with zero residual;
+    * otherwise lambda1 alone: a free zeta on the lower-rate row absorbs the
+      gap between the rows, else lambda1 is the mean of the two rates.
+
+    Dual feasibility is thus built in, and a point admitting no valid
+    multipliers surfaces as a nonzero residual rather than a sign violation.
+    The mean enters only the falsification equations: optimal points always
+    sit at mu = 0, where those equations vanish identically.
     """
     c = coeffs(ch)
     a = _snr_gain(ch)
@@ -214,38 +221,17 @@ def kkt_check(alloc, mu_r, mu_i, P_a, P_d, ch, tol=1e-6):
     var_r_tight = var_r <= tol * max(1.0, abs(P_a))
     var_i_tight = var_i <= tol * max(1.0, abs(P_a))
 
-    # Stationarity in P_r / P_i: rate' + lambda2*power' - lambda1 + zeta = 0.
-    # Columns for the multipliers the slackness pattern leaves free.
-    free = []
+    lam1 = lam2 = zeta_r = zeta_i = 0.0
     if budget_tight:
-        free.append("lambda1")
-    if power_tight:
-        free.append("lambda2")
-    if var_r_tight:
-        free.append("zeta_r")
-    if var_i_tight:
-        free.append("zeta_i")
-    col = {name: j for j, name in enumerate(free)}
-
-    system = np.zeros((2, max(len(free), 1)))
-    rhs = np.array([rate_r, rate_i])
-    for row, (grad, zeta_name) in enumerate(
-            ((grad_r, "zeta_r"), (grad_i, "zeta_i"))):
-        if "lambda1" in col:
-            system[row, col["lambda1"]] = 1.0
-        if "lambda2" in col:
-            system[row, col["lambda2"]] = -grad
-        if zeta_name in col:
-            system[row, col[zeta_name]] = -1.0
-    solution, _ = nnls(system, rhs)
-
-    def mult(name):
-        return float(solution[col[name]]) if name in col else 0.0
-
-    lam1 = mult("lambda1")
-    lam2 = mult("lambda2")
-    zeta_r = mult("zeta_r")
-    zeta_i = mult("zeta_i")
+        if power_tight and (rate_i - rate_r) * (grad_r - grad_i) > 0.0:
+            lam2 = (rate_i - rate_r) / (grad_r - grad_i)
+            lam1 = rate_r + lam2 * grad_r
+        elif rate_r < rate_i and var_r_tight:
+            lam1, zeta_r = rate_i, rate_i - rate_r
+        elif rate_i < rate_r and var_i_tight:
+            lam1, zeta_i = rate_r, rate_r - rate_i
+        else:
+            lam1 = 0.5 * (rate_r + rate_i)
 
     res_pr = rate_r + lam2 * grad_r - lam1 + zeta_r
     res_pi = rate_i + lam2 * grad_i - lam1 + zeta_i

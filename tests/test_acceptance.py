@@ -18,10 +18,11 @@ import time
 import numpy as np
 
 import _gate
+from oracles import bisection_allocation, brute_force_double_sum
 
 from swipt.moments import q_tilde
 from swipt.rectenna import ChannelParams, coeffs
-from swipt.series import SERIES_IDS, brute_force_double_sum, partial_sum, verify
+from swipt.series import SERIES_IDS, partial_sum, verify
 from swipt.simulate import (
     ESTIMATORS,
     FiniteConstellation,
@@ -223,6 +224,33 @@ def test_criterion_7_solver_vs_grid_oracle():
            f"{worst_split:.1e} (<=1e-5), max stationarity residual "
            f"{worst_resid:.1e} (<=1e-6)")
     assert ok
+
+
+def test_closed_form_split_matches_bisection_reference():
+    """The closed-form root against bisection on the power residual, over
+    random channels and budgets, including targets next to both endpoints."""
+    rng = np.random.default_rng(2027)
+    worst_split = 0.0
+    worst_power = 0.0
+    for _ in range(3000):
+        h = rng.uniform(0.1, 2.0) * np.exp(2j * np.pi * rng.uniform())
+        h_tilde = rng.uniform(0.1, 2.0) * np.exp(2j * np.pi * rng.uniform())
+        ch = ChannelParams(h=complex(h), h_tilde=complex(h_tilde),
+                           sigma_w2=10.0 ** rng.uniform(-5.0, -1.0), f_w=1.0,
+                           k2=0.17, k4=rng.uniform(0.1, 30.0))
+        P_a = rng.uniform(0.1, 3.0)
+        lo, hi = pdc_min(P_a, ch), pdc_max(P_a, ch)
+        target = rng.choice([lo + rng.uniform() * (hi - lo), 0.9999995 * hi,
+                             lo + 1e-9 * (hi - lo)])
+        alloc = optimal_allocation(P_a, target, ch)
+        ref = bisection_allocation(P_a, target, ch)
+        assert alloc.P_r >= alloc.P_i
+        worst_split = max(worst_split, abs(alloc.P_i - ref.P_i) / P_a)
+        back = closed_form_delivered_power(
+            GaussianZeroMean(alloc.P_r, alloc.P_i), ch)
+        worst_power = max(worst_power, abs(back - target) / target)
+    assert worst_split <= 1e-9
+    assert worst_power <= 2e-15
 
 
 def test_criterion_8_linear_rectenna_degeneracy():

@@ -1,7 +1,10 @@
 """Command-line interface: argument handling, config resolution, output
-formats, and exit codes.  Everything runs in-process through main(argv)."""
+formats, and exit codes.  Everything runs in-process through main(argv),
+except the import check, which needs a fresh interpreter."""
 
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -267,8 +270,61 @@ class TestConfigHandling:
         assert code == 2
         assert "seed" in capsys.readouterr().err
 
+    def test_non_finite_target_flag(self, capsys):
+        code = main(["region", "--n-points", "3", "--target", "nan"])
+        assert code == 2
+        assert "targets must be finite" in capsys.readouterr().err
+
+    def test_non_finite_budget_in_config(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"P_a": float("inf")})
+        code = main(["region", "--config", cfg])
+        assert code == 2
+        assert "P_a must be positive and finite" in capsys.readouterr().err
+
+    def test_run_config_rejects_non_finite_values(self):
+        with pytest.raises(ValueError, match="P_a"):
+            RunConfig(P_a=float("nan"))
+        with pytest.raises(ValueError, match="targets"):
+            RunConfig(targets=(70.0, float("-inf")))
+
+    def test_non_integral_mc_value(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"mc": {"seed": 1.9}})
+        code = main(["mc-validate", "--config", cfg])
+        assert code == 2
+        assert "mc.seed must be an integer" in capsys.readouterr().err
+
+    def test_non_integral_sweep_value(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"sweep": {"n_points": 10.5}})
+        code = main(["region", "--config", cfg])
+        assert code == 2
+        assert "sweep.n_points must be an integer" in capsys.readouterr().err
+
+    def test_integral_floats_accepted(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"mc": {"n_symbols": 2e5, "seed": 7.0},
+                                      "sweep": {"n_points": 11.0}})
+        code = main(["region", "--config", cfg, "--dump-config"])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert out["mc"]["n_symbols"] == 200000
+        assert out["mc"]["seed"] == 7
+        assert out["sweep"]["n_points"] == 11
+
+    def test_negative_quartic_weight_in_config(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"channel": {"k4": -1.0}})
+        code = main(["region", "--config", cfg])
+        assert code == 2
+        assert "k4 must be nonnegative" in capsys.readouterr().err
+
     def test_channel_override_in_config(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"channel": {"h": [2.0, 0.0]}})
         main(["power-eval", "--config", cfg, "--dist", SYM_DIST])
         out = json.loads(capsys.readouterr().out)
         assert out["alpha"] == pytest.approx(16 * 14.35875, rel=1e-12)
+
+
+def test_import_leaves_scipy_unloaded():
+    """The package is numpy-only: importing the CLI pulls in no SciPy module."""
+    code = "import sys, swipt.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "False"

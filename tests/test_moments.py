@@ -17,9 +17,10 @@ from swipt.moments import (
     empirical_profile,
     gaussian_profile,
     q_tilde,
-    q_tilde_intermediate,
 )
 from swipt.series import partial_sum, s_coeff
+
+from oracles import q_tilde_intermediate
 
 
 QPSK_PROFILE = MomentProfile(0.0, 0.0, 0.5, 0.5, 0.0, 0.0, 0.25, 0.25)

@@ -41,6 +41,19 @@ class TestChannelParams:
         with pytest.raises(ValueError):
             ChannelParams(h=1, h_tilde=1, sigma_w2=0.01, f_w=0.0, k2=0.1, k4=1.0)
 
+    def test_rejects_negative_quartic_weight(self):
+        with pytest.raises(ValueError, match="k4"):
+            ChannelParams(k4=-1e-3)
+        assert coeffs(ChannelParams(k4=0.0)).alpha == 0.0
+
+    @pytest.mark.parametrize("field, value", [
+        ("h", complex(math.nan, 0.0)), ("h_tilde", complex(0.0, math.inf)),
+        ("sigma_w2", math.inf), ("f_w", math.nan), ("k2", math.nan),
+        ("k4", math.inf)])
+    def test_rejects_non_finite_fields(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ChannelParams(**{field: value})
+
     def test_from_dict_rejects_unknown_keys(self):
         data = reference_channel().as_dict()
         data["gain"] = 3.0

@@ -2,8 +2,8 @@
 
 The closed-form constants are cross-checked three ways: against slow
 pure-Python enumeration written here (independent of the package's folded
-vectorized sums), against the package's own brute-force enumerator, and
-against the analytic limits as the truncation window grows.
+vectorized sums), against the vectorized brute-force enumerator in
+oracles.py, and against the analytic limits as the truncation window grows.
 """
 
 import math
@@ -14,12 +14,13 @@ import pytest
 from swipt.series import (
     SERIES_IDS,
     analytic_value,
-    brute_force_double_sum,
     evaluate,
     partial_sum,
     s_coeff,
     verify,
 )
+
+from oracles import brute_force_double_sum
 
 
 def sinc_half(l):

@@ -28,6 +28,7 @@ from swipt.simulate import (
     mc_q_tilde,
     profile_of,
 )
+from swipt.simulate import _half_samples, _kernel, _upsample
 
 
 CH = ChannelParams(h=1.0, h_tilde=1.0, sigma_w2=1e-4, f_w=1.0,
@@ -133,6 +134,27 @@ class TestHalfSampleValue:
             half_sample_value(symbols, 8, 3)
         with pytest.raises(ValueError):
             half_sample_value(symbols, 5, 0)
+
+
+class TestScipyOracles:
+    """The numpy FFT interpolation and upsampling against the SciPy routines
+    they stand for."""
+
+    @pytest.mark.parametrize("n, window", [(1000, 1), (1001, 16), (50_000, 128)])
+    def test_interpolation_matches_fftconvolve(self, n, window):
+        signal = pytest.importorskip("scipy.signal")
+        symbols = draw_symbols(GaussianGeneral(0.3, -0.2, 0.5, 0.25), n, SEED)
+        ours = _half_samples(symbols, window)
+        ref = signal.fftconvolve(symbols, _kernel(window))[window:window + n]
+        assert np.max(np.abs(ours - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("oversample", [2, 4, 8])
+    def test_upsampler_is_bit_identical_to_resample(self, oversample):
+        signal = pytest.importorskip("scipy.signal")
+        n = 5000
+        waveform = draw_symbols(GaussianZeroMean(0.7, 0.3), 2 * n, SEED)
+        ours = _upsample(waveform, n * oversample)
+        assert np.array_equal(ours, signal.resample(waveform, n * oversample))
 
 
 class TestMcQTilde:

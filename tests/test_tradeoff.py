@@ -6,9 +6,16 @@ anchors were frozen from a 1e-6-step grid search run separately.
 
 import math
 
+import numpy as np
 import pytest
 
-from swipt.rectenna import ChannelParams, coeffs, delivered_power_gaussian_zero_mean
+from swipt.moments import gaussian_profile
+from swipt.rectenna import (
+    ChannelParams,
+    coeffs,
+    delivered_power,
+    delivered_power_gaussian_zero_mean,
+)
 from swipt.tradeoff import (
     Infeasible,
     KktReport,
@@ -20,6 +27,8 @@ from swipt.tradeoff import (
     rate_gaussian,
     rp_region,
 )
+
+from oracles import kkt_check_nnls
 
 
 CH = ChannelParams(h=1.0, h_tilde=1.0, sigma_w2=1e-4, f_w=1.0,
@@ -107,11 +116,28 @@ class TestOptimalAllocation:
         splits = [optimal_allocation(1.0, t, CH).P_i for t in (60.0, 70.0, 80.0)]
         assert splits[0] > splits[1] > splits[2] > 0.0
 
+    def test_rounding_level_quartic_keeps_canonical_order(self):
+        """With k4 at rounding level, pdc_max - pdc_min carries an O(1)
+        relative error and the raw root just above pdc_min lands past P_a/2."""
+        ch = ChannelParams(h=0.22227987264402468, h_tilde=0.6174617438168796,
+                           sigma_w2=0.39697913369567167, f_w=1.0,
+                           k2=0.5894243564643954, k4=4.085774522499794e-17)
+        P_a = 2.0233523941463307
+        alloc = optimal_allocation(P_a, math.nextafter(pdc_min(P_a, ch), math.inf), ch)
+        assert alloc.P_r >= alloc.P_i
+
     def test_argument_validation(self):
         with pytest.raises(ValueError):
             optimal_allocation(0.0, 1.0, CH)
         with pytest.raises(ValueError):
             optimal_allocation(1.0, 1.0, CH, tol=0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_budget_and_target_rejected(self, bad):
+        with pytest.raises(ValueError, match="P_a"):
+            optimal_allocation(bad, 70.0, CH)
+        with pytest.raises(ValueError, match="P_d"):
+            optimal_allocation(1.0, bad, CH)
 
 
 class TestRegion:
@@ -226,3 +252,51 @@ class TestKktCheck:
             "stationarity_residual_mu_r", "stationarity_residual_mu_i",
             "complementary_slackness_ok",
         }
+
+
+def random_kkt_inputs(rng, n):
+    """Reachable (allocation, mean, budget, target, channel) points covering
+    every slackness pattern: budget and power each tight or slack, and each
+    variance pinned at zero (no power, or a mean carrying all of it) or not."""
+    for _ in range(n):
+        ch = ChannelParams(h=complex(*rng.uniform(-2.0, 2.0, 2)),
+                           h_tilde=complex(*rng.uniform(-2.0, 2.0, 2)),
+                           sigma_w2=10.0 ** rng.uniform(-5.0, -1.0),
+                           f_w=1.0, k2=rng.uniform(0.0, 1.0),
+                           k4=rng.choice([0.0, rng.uniform(0.0, 30.0)]))
+        total = rng.uniform(0.01, 3.0)
+        share = rng.choice([0.0, 1.0, 0.5, rng.uniform()])
+        alloc = PowerAllocation(total * share, total * (1.0 - share))
+        mu_r = mu_i = 0.0
+        if rng.uniform() < 0.3:
+            mu_r, mu_i = (rng.choice([-1.0, 1.0, rng.uniform(-1.0, 1.0)]) * math.sqrt(p)
+                          for p in (alloc.P_r, alloc.P_i))
+        own = delivered_power(gaussian_profile(
+            mu_r, mu_i, max(alloc.P_r - mu_r * mu_r, 0.0),
+            max(alloc.P_i - mu_i * mu_i, 0.0)), ch)
+        P_a = total * (1.0 if rng.uniform() < 0.6 else rng.uniform(1.01, 2.0))
+        P_d = own * (1.0 if rng.uniform() < 0.6 else rng.uniform(0.1, 0.99))
+        yield alloc, mu_r, mu_i, P_a, P_d, ch
+
+
+def test_kkt_check_matches_nnls_reference():
+    """Residuals and the slackness verdict agree with a nonnegative
+    least-squares fit of the free multipliers everywhere; the multipliers
+    themselves wherever that fit is unique."""
+    pytest.importorskip("scipy")
+    mults = ("lambda1", "lambda2", "zeta_r", "zeta_i")
+    residuals = ("stationarity_residual_Pr", "stationarity_residual_Pi",
+                 "stationarity_residual_mu_r", "stationarity_residual_mu_i")
+    unique_seen = 0
+    for args in random_kkt_inputs(np.random.default_rng(41), 4000):
+        report = kkt_check(*args)
+        ref, unique = kkt_check_nnls(*args)
+        scale = max(1.0, *(abs(getattr(ref, f)) for f in mults + residuals))
+        assert report.complementary_slackness_ok == ref.complementary_slackness_ok
+        for field in residuals:
+            assert abs(getattr(report, field) - getattr(ref, field)) <= 1e-12 * scale
+        if unique:
+            unique_seen += 1
+            for field in mults:
+                assert abs(getattr(report, field) - getattr(ref, field)) <= 1e-12 * scale
+    assert unique_seen > 1000
