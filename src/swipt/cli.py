@@ -36,7 +36,6 @@ from .simulate import (
 )
 from .tradeoff import (
     Infeasible,
-    PowerAllocation,
     kkt_check,
     optimal_allocation,
     rate_gaussian,
@@ -82,10 +81,6 @@ class McConfig:
     window: int = 128
     seed: int = 12345
 
-    def as_dict(self):
-        return {"n_symbols": self.n_symbols, "oversample": self.oversample,
-                "window": self.window, "seed": self.seed}
-
     @classmethod
     def from_dict(cls, data):
         _reject_unknown(data, ("n_symbols", "oversample", "window", "seed"), "mc")
@@ -97,9 +92,6 @@ class SweepConfig:
     """Frontier sweep resolution."""
 
     n_points: int = 101
-
-    def as_dict(self):
-        return {"n_points": self.n_points}
 
     @classmethod
     def from_dict(cls, data):
@@ -117,9 +109,6 @@ class OutputConfig:
     def __post_init__(self):
         if self.format not in ("json", "csv"):
             raise ConfigError(f"output format must be json or csv, got {self.format!r}")
-
-    def as_dict(self):
-        return {"format": self.format, "path": self.path}
 
     @classmethod
     def from_dict(cls, data):
@@ -145,16 +134,6 @@ class RunConfig:
         if not all(math.isfinite(t) for t in targets):
             raise ConfigError(f"targets must be finite, got {list(targets)!r}")
         object.__setattr__(self, "targets", targets)
-
-    def as_dict(self):
-        return {
-            "channel": self.channel.as_dict(),
-            "P_a": self.P_a,
-            "targets": list(self.targets),
-            "mc": self.mc.as_dict(),
-            "sweep": self.sweep.as_dict(),
-            "output": self.output.as_dict(),
-        }
 
     @classmethod
     def from_dict(cls, data):
@@ -228,8 +207,14 @@ def _emit(text, path):
             fh.write(text)
 
 
+def _complex_pair(value):
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
 def _json_text(payload):
-    return json.dumps(payload, indent=2)
+    return json.dumps(payload, indent=2, default=_complex_pair)
 
 
 def _csv_text(header, rows):
@@ -334,7 +319,7 @@ def cmd_series_verify(args, config):
         text = _json_text({
             "n_terms": args.n_terms,
             "tolerance": args.tol,
-            "reports": [r.as_dict() for r in reports],
+            "reports": [dataclasses.asdict(r) for r in reports],
             "failed": failed,
             "pass": not failed,
         })
@@ -413,9 +398,8 @@ def _target_entry(P_d, config):
         "P_r": alloc.P_r,
         "P_i": alloc.P_i,
         "rate_bits": rate_gaussian(alloc, config.channel),
-        "delivered_power": delivered_power(
-            profile_of(GaussianZeroMean(alloc.P_r, alloc.P_i)), config.channel),
-        "kkt": report.as_dict(),
+        "delivered_power": delivered_power(profile_of(alloc), config.channel),
+        "kkt": dataclasses.asdict(report),
     }
 
 
@@ -455,7 +439,7 @@ def main(argv=None):
     try:
         config = _resolved_config(args)
         if args.dump_config:
-            _emit(_json_text(config.as_dict()), config.output.path)
+            _emit(_json_text(dataclasses.asdict(config)), config.output.path)
             return 0
         return _COMMANDS[args.command](args, config)
     except ValueError as exc:

@@ -53,10 +53,12 @@ class MomentProfile:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"moment {name} must be finite, got {value!r}")
-        for dim in ("r", "i"):
-            mu = getattr(self, f"mu_{dim}")
-            p = getattr(self, f"P_{dim}")
-            q = getattr(self, f"Q_{dim}")
+        # Each dimension's Hankel matrix [[1, mu, P], [mu, P, T], [P, T, Q]]
+        # must be positive semidefinite (Curto & Fialkow 1991): all its
+        # principal minors are nonnegative, up to float headroom scaled by
+        # the size of the terms in each minor.
+        for dim, mu, p, t, q in (("r", self.mu_r, self.P_r, self.T_r, self.Q_r),
+                                 ("i", self.mu_i, self.P_i, self.T_i, self.Q_i)):
             if p < 0.0 or q < 0.0:
                 raise ValueError(f"negative even moment in dimension {dim}")
             if p - mu * mu < -_REL_SLACK * max(1.0, p):
@@ -65,14 +67,21 @@ class MomentProfile:
             if q - p * p < -_REL_SLACK * max(1.0, q):
                 raise ValueError(
                     f"Jensen violation: Q_{dim} < P_{dim}^2 ({q} < {p * p})")
+            pq, tt = p * q, t * t
+            if pq - tt < -_REL_SLACK * max(1.0, pq, tt):
+                raise ValueError(
+                    f"moment violation: P_{dim}*Q_{dim} < T_{dim}^2 ({pq} < {tt})")
+            cross = 2.0 * mu * t * p
+            det = pq - tt - mu * mu * q + cross - p * p * p
+            if det < -_REL_SLACK * max(1.0, pq, tt, mu * mu * q, abs(cross), p * p * p):
+                raise ValueError(
+                    f"moment violation: Hankel determinant in dimension {dim} "
+                    f"is negative ({det})")
 
     def swapped(self):
         """The same input with real and imaginary dimensions exchanged."""
         return MomentProfile(self.mu_i, self.mu_r, self.P_i, self.P_r,
                              self.T_i, self.T_r, self.Q_i, self.Q_r)
-
-    def as_dict(self):
-        return {name: float(getattr(self, name)) for name in _FIELDS}
 
     @classmethod
     def from_dict(cls, data):

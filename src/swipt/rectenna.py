@@ -11,6 +11,8 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 
+import numpy as np
+
 from .moments import derived_moments
 
 __all__ = [
@@ -51,18 +53,10 @@ class ChannelParams:
             raise ValueError("sigma_w2 must be positive")
         if not self.f_w > 0.0:
             raise ValueError("f_w must be positive")
+        if not self.k2 >= 0.0:
+            raise ValueError("k2 must be nonnegative")
         if not self.k4 >= 0.0:
             raise ValueError("k4 must be nonnegative")
-
-    def as_dict(self):
-        return {
-            "h": [self.h.real, self.h.imag],
-            "h_tilde": [self.h_tilde.real, self.h_tilde.imag],
-            "sigma_w2": self.sigma_w2,
-            "f_w": self.f_w,
-            "k2": self.k2,
-            "k4": self.k4,
-        }
 
     @classmethod
     def from_dict(cls, data):
@@ -80,7 +74,7 @@ class ChannelParams:
 def _complex_from(value):
     if isinstance(value, (list, tuple)) and len(value) == 2:
         return complex(float(value[0]), float(value[1]))
-    if isinstance(value, (int, float)):
+    if isinstance(value, (int, float, complex)):
         return complex(value)
     raise ValueError(f"expected an [re, im] pair, got {value!r}")
 
@@ -130,9 +124,9 @@ def delivered_power_gaussian_zero_mean(P_r, P_i, ch):
     There the on-sample and mid-sample fourth moments coincide at
     3*(P_r^2 + P_i^2) + 2*P_r*P_i, so the full profile machinery reduces to
     one quadratic.  Agrees with delivered_power on the matching profile to
-    rounding error.
+    rounding error.  P_r and P_i may be scalars or arrays.
     """
-    if P_r < 0.0 or P_i < 0.0:
+    if np.any(P_r < 0.0) or np.any(P_i < 0.0):
         raise ValueError("powers must be nonnegative")
     c = coeffs(ch)
     fourth = 3.0 * (P_r * P_r + P_i * P_i) + 2.0 * P_r * P_i

@@ -129,15 +129,6 @@ class SeriesReport:
     truncation: int
     abs_error: float
 
-    def as_dict(self):
-        return {
-            "id": self.id,
-            "analytic": self.analytic,
-            "partial_sum": self.partial_sum,
-            "truncation": self.truncation,
-            "abs_error": self.abs_error,
-        }
-
 
 def evaluate(series_id, n_terms):
     """SeriesReport for one series at the given truncation."""

@@ -160,23 +160,24 @@ def _draw_block(dist, n, gen):
     raise TypeError(f"unsupported input distribution: {dist!r}")
 
 
-def draw_symbols(dist, n, seed):
-    """n i.i.d. symbols, deterministic in (dist, n, seed).
-
-    Each block always consumes a full _BLOCK worth of draws from its
-    substream (a short tail is sliced), so extending n never disturbs
-    symbols already produced.
-    """
-    n = int(n)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    seed = _check_seed(seed)
+def _draw(dist, n, seed, domain):
+    # Block b of the stream comes from substream (seed, domain, b) and always
+    # consumes a full _BLOCK worth of draws (a short tail is sliced), so
+    # extending n never disturbs values already produced.
     out = np.empty(n, dtype=complex)
     for start in range(0, n, _BLOCK):
         count = min(_BLOCK, n - start)
-        gen = _substream(seed, _DOM_SYMBOLS, start // _BLOCK)
+        gen = _substream(seed, domain, start // _BLOCK)
         out[start:start + count] = _draw_block(dist, _BLOCK, gen)[:count]
     return out
+
+
+def draw_symbols(dist, n, seed):
+    """n i.i.d. symbols, deterministic in (dist, n, seed) and prefix-stable in n."""
+    n = int(n)
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return _draw(dist, n, _check_seed(seed), _DOM_SYMBOLS)
 
 
 _KERNEL_CACHE = {}
@@ -252,21 +253,15 @@ class McEstimate:
     n_samples: int
     seed: int
 
-    def as_dict(self):
-        return {
-            "mean": self.mean,
-            "std_error": self.std_error,
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-        }
-
 
 def mc_q_tilde(dist, n_blocks, window, seed):
     """Monte-Carlo estimate of the mid-sample fourth moment E[|X~|^4].
 
-    Each block draws 2*window+1 fresh symbols from its own substream and
-    contributes one |X~|^4 value, so block values are i.i.d. and the
-    reported standard error is exact.
+    Draws n_blocks*(2*window+1) symbols from the q-tilde stream, which has
+    the same block layout as draw_symbols under its own purpose tag, and cuts
+    them into consecutive blocks of 2*window+1.  Each block contributes one
+    |X~|^4 value, so block values are i.i.d. and the reported standard error
+    is exact.
     """
     n_blocks = int(n_blocks)
     if n_blocks < 100:
@@ -275,30 +270,17 @@ def mc_q_tilde(dist, n_blocks, window, seed):
     if window < 1:
         raise ValueError("window must be >= 1")
     seed = _check_seed(seed)
-    reversed_kernel = np.ascontiguousarray(_kernel(window)[::-1])
     count = 2 * window + 1
-    values = np.empty(n_blocks)
-    for b in range(n_blocks):
-        gen = _substream(seed, _DOM_QTILDE, b)
-        block = _draw_block(dist, count, gen)
-        values[b] = abs(np.dot(block, reversed_kernel)) ** 4
+    blocks = _draw(dist, n_blocks * count, seed, _DOM_QTILDE).reshape(n_blocks, count)
+    values = np.abs(blocks @ _kernel(window)[::-1]) ** 4
     mean = float(values.mean())
     std_error = float(values.std(ddof=1) / math.sqrt(n_blocks))
     return McEstimate(mean, std_error, n_blocks, seed)
 
 
 def _draw_noise(n, sigma_w2, seed, domain):
-    # circularly symmetric complex Gaussian, variance sigma_w2 per sample;
-    # full-block draws keep the stream prefix-stable like draw_symbols
-    scale = math.sqrt(sigma_w2 / 2.0)
-    out = np.empty(n, dtype=complex)
-    for start in range(0, n, _BLOCK):
-        count = min(_BLOCK, n - start)
-        gen = _substream(seed, domain, start // _BLOCK)
-        re = gen.standard_normal(_BLOCK)
-        im = gen.standard_normal(_BLOCK)
-        out[start:start + count] = scale * (re[:count] + 1j * im[:count])
-    return out
+    # circularly symmetric complex Gaussian, variance sigma_w2 per sample
+    return _draw(GaussianZeroMean(0.5 * sigma_w2, 0.5 * sigma_w2), n, seed, domain)
 
 
 def _integrand(y, ch):

@@ -19,10 +19,10 @@ import numpy as np
 
 from .moments import gaussian_profile
 from .rectenna import coeffs, delivered_power, delivered_power_gaussian_zero_mean
+from .simulate import GaussianZeroMean
 
 __all__ = [
     "Infeasible",
-    "PowerAllocation",
     "RPPoint",
     "KktReport",
     "rate_gaussian",
@@ -39,27 +39,12 @@ class Infeasible(ValueError):
 
 
 @dataclass(frozen=True)
-class PowerAllocation:
-    """Per-dimension input powers of a zero-mean Gaussian signal."""
-
-    P_r: float
-    P_i: float
-
-    def __post_init__(self):
-        if self.P_r < 0.0 or self.P_i < 0.0:
-            raise ValueError("allocation powers must be nonnegative")
-
-    def swapped(self):
-        return PowerAllocation(self.P_i, self.P_r)
-
-
-@dataclass(frozen=True)
 class RPPoint:
     """One frontier sample: rate (bits/s), delivered power, and the split."""
 
     rate: float
     power: float
-    allocation: PowerAllocation
+    allocation: GaussianZeroMean
 
 
 @dataclass(frozen=True)
@@ -76,31 +61,22 @@ class KktReport:
     stationarity_residual_mu_i: float
     complementary_slackness_ok: bool
 
-    def as_dict(self):
-        return {
-            "lambda1": self.lambda1,
-            "lambda2": self.lambda2,
-            "zeta_r": self.zeta_r,
-            "zeta_i": self.zeta_i,
-            "stationarity_residual_Pr": self.stationarity_residual_Pr,
-            "stationarity_residual_Pi": self.stationarity_residual_Pi,
-            "stationarity_residual_mu_r": self.stationarity_residual_mu_r,
-            "stationarity_residual_mu_i": self.stationarity_residual_mu_i,
-            "complementary_slackness_ok": self.complementary_slackness_ok,
-        }
-
 
 def _snr_gain(ch):
     # per-dimension SNR slope: 2|h|^2 / (f_w * sigma_w2)
     return 2.0 * abs(ch.h) ** 2 / (ch.f_w * ch.sigma_w2)
 
 
+def _rate(P_r, P_i, ch):
+    # elementwise over scalars or arrays of per-dimension powers
+    a = _snr_gain(ch)
+    return 0.5 * ch.f_w * (np.log2(1.0 + a * P_r) + np.log2(1.0 + a * P_i))
+
+
 def rate_gaussian(alloc, ch):
     """Information rate (bits/s) of a zero-mean Gaussian input with the given
     per-dimension powers; only the integer-time gain h enters."""
-    a = _snr_gain(ch)
-    return 0.5 * ch.f_w * (math.log2(1.0 + a * alloc.P_r)
-                           + math.log2(1.0 + a * alloc.P_i))
+    return float(_rate(alloc.P_r, alloc.P_i, ch))
 
 
 def pdc_min(P_a, ch):
@@ -142,36 +118,37 @@ def optimal_allocation(P_a, P_d, ch, tol=1e-9):
         raise Infeasible(
             f"target {P_d!r} exceeds the maximum delivered power {power_corner!r}")
     if P_d <= power_even:
-        return PowerAllocation(0.5 * P_a, 0.5 * P_a)
+        return GaussianZeroMean(0.5 * P_a, 0.5 * P_a)
     if P_d >= power_corner:
-        return PowerAllocation(P_a, 0.0)
+        return GaussianZeroMean(P_a, 0.0)
     c = coeffs(ch)
     four_a = 4.0 * (c.alpha + c.alpha_tilde)
     q = (power_corner - P_d) / four_a
     # with A near the rounding level of pdc_min, the rounding error in
     # pdc_max - pdc_min can push the root past P_a/2
     p_i = min(q / (0.5 * P_a + math.sqrt((P_d - power_even) / four_a)), 0.5 * P_a)
-    return PowerAllocation(P_a - p_i, p_i)
+    return GaussianZeroMean(P_a - p_i, p_i)
 
 
 def rp_region(P_a, ch, n_points):
     """Frontier sweep from the single-axis corner to the even split.
 
-    Rate is nondecreasing and power nonincreasing along the returned list.
+    The n_points splits P_i = linspace(0, P_a/2) are evaluated as arrays, by
+    the rate formula of rate_gaussian and by
+    delivered_power_gaussian_zero_mean, and then listed as RPPoints.  Rate
+    is nondecreasing and power nonincreasing along the returned list.
     """
     if not P_a > 0.0:
         raise ValueError("P_a must be positive")
     n_points = int(n_points)
     if n_points < 2:
         raise ValueError("n_points must be >= 2")
-    points = []
-    for p_i in np.linspace(0.0, 0.5 * P_a, n_points):
-        alloc = PowerAllocation(P_a - float(p_i), float(p_i))
-        points.append(RPPoint(
-            rate_gaussian(alloc, ch),
-            delivered_power_gaussian_zero_mean(alloc.P_r, alloc.P_i, ch),
-            alloc))
-    return points
+    p_i = np.linspace(0.0, 0.5 * P_a, n_points)
+    p_r = P_a - p_i
+    rates = _rate(p_r, p_i, ch).tolist()
+    powers = delivered_power_gaussian_zero_mean(p_r, p_i, ch).tolist()
+    return [RPPoint(rate, power, GaussianZeroMean(pr, pi))
+            for rate, power, pr, pi in zip(rates, powers, p_r.tolist(), p_i.tolist())]
 
 
 def kkt_check(alloc, mu_r, mu_i, P_a, P_d, ch, tol=1e-6):

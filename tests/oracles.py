@@ -17,7 +17,8 @@ import numpy as np
 from swipt.moments import derived_moments, gaussian_profile
 from swipt.rectenna import coeffs, delivered_power, delivered_power_gaussian_zero_mean
 from swipt.series import SERIES_IDS, s_coeff
-from swipt.tradeoff import Infeasible, KktReport, PowerAllocation, pdc_max, pdc_min
+from swipt.simulate import GaussianZeroMean
+from swipt.tradeoff import Infeasible, KktReport, pdc_max, pdc_min
 
 _PAIR_IDS = ("S1", "S3", "S6")
 _HIGHER_IDS = ("S2", "S4")
@@ -126,9 +127,9 @@ def bisection_allocation(P_a, P_d, ch, tol=1e-9):
         raise Infeasible(
             f"target {P_d!r} exceeds the maximum delivered power {power_corner!r}")
     if P_d <= power_even:
-        return PowerAllocation(0.5 * P_a, 0.5 * P_a)
+        return GaussianZeroMean(0.5 * P_a, 0.5 * P_a)
     if P_d >= power_corner:
-        return PowerAllocation(P_a, 0.0)
+        return GaussianZeroMean(P_a, 0.0)
     lo, hi = 0.0, 0.5 * P_a
     best_pi, best_res = lo, power_corner - P_d
     for _ in range(200):
@@ -142,7 +143,7 @@ def bisection_allocation(P_a, P_d, ch, tol=1e-9):
             hi = mid
         if hi - lo <= 4.0 * np.finfo(float).eps * P_a:
             break
-    return PowerAllocation(P_a - best_pi, best_pi)
+    return GaussianZeroMean(P_a - best_pi, best_pi)
 
 
 def kkt_check_nnls(alloc, mu_r, mu_i, P_a, P_d, ch, tol=1e-6):

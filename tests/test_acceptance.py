@@ -37,7 +37,6 @@ from swipt.simulate import (
 )
 from swipt.tradeoff import (
     Infeasible,
-    PowerAllocation,
     kkt_check,
     optimal_allocation,
     pdc_max,
@@ -144,8 +143,8 @@ def test_criterion_4_mid_sample_fourth_moment():
 def test_criterion_5_frontier_endpoints():
     p_min = pdc_min(1.0, CH)
     p_max = pdc_max(1.0, CH)
-    rate_even = rate_gaussian(PowerAllocation(0.5, 0.5), CH)
-    rate_corner = rate_gaussian(PowerAllocation(1.0, 0.0), CH)
+    rate_even = rate_gaussian(GaussianZeroMean(0.5, 0.5), CH)
+    rate_corner = rate_gaussian(GaussianZeroMean(1.0, 0.0), CH)
     ok = (abs(p_min - 57.79799157435) <= 1e-9 * 57.79799157435
           and abs(p_max - 86.51549157435) <= 1e-9 * 86.51549157435
           and abs(rate_even - math.log2(1.0 + 1e4)) <= 1e-12 * rate_even
@@ -161,11 +160,10 @@ def test_criterion_6_frontier_sweep_and_marked_splits():
     pts = rp_region(1.0, CH, 101)
     monotone = all(b.rate > a.rate and b.power < a.power
                    for a, b in zip(pts, pts[1:]))
-    marked = [PowerAllocation(0.0, 1.0), PowerAllocation(0.03, 0.97),
-              PowerAllocation(0.2, 0.8), PowerAllocation(0.5, 0.5)]
+    marked = [GaussianZeroMean(0.0, 1.0), GaussianZeroMean(0.03, 0.97),
+              GaussianZeroMean(0.2, 0.8), GaussianZeroMean(0.5, 0.5)]
     rates = [rate_gaussian(m, CH) for m in marked]
-    powers = [closed_form_delivered_power(GaussianZeroMean(m.P_r, m.P_i), CH)
-              for m in marked]
+    powers = [closed_form_delivered_power(m, CH) for m in marked]
     ordered = (rates[0] < rates[1] < rates[2] < rates[3]
                and powers[0] > powers[1] > powers[2] > powers[3])
     # the mirrored canonical splits sit on the 0.005-step sweep grid
@@ -260,7 +258,7 @@ def test_criterion_8_linear_rectenna_degeneracy():
     powers = [pt.power for pt in pts]
     flat = max(powers) - min(powers) <= 1e-12 * max(powers)
     even = optimal_allocation(1.0, 0.5 * pdc_min(1.0, ch), ch)
-    even_ok = even == PowerAllocation(0.5, 0.5)
+    even_ok = even == GaussianZeroMean(0.5, 0.5)
     try:
         optimal_allocation(1.0, 2.0 * pdc_max(1.0, ch), ch)
         raised = False

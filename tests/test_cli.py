@@ -2,6 +2,7 @@
 formats, and exit codes.  Everything runs in-process through main(argv),
 except the import check, which needs a fresh interpreter."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -121,6 +122,15 @@ class TestPowerEvalCommand:
         assert captured.err.startswith("error: ")
         assert "Jensen" in captured.err
 
+    def test_impossible_third_moment_is_a_config_error(self, capsys):
+        bad = ('{"mu_r": 0, "mu_i": 0, "P_r": 1, "P_i": 1,'
+               ' "T_r": 100, "T_i": 0, "Q_r": 1, "Q_i": 1}')
+        code = main(["power-eval", "--profile", bad])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: moment violation")
+
     def test_requires_exactly_one_input(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["power-eval"])
@@ -237,8 +247,12 @@ class TestConfigHandling:
         code = main(["region", "--dump-config"])
         out = json.loads(capsys.readouterr().out)
         assert code == 0
-        assert out == RunConfig().as_dict()
-        assert RunConfig.from_dict(out).as_dict() == out
+        defaults = dataclasses.asdict(RunConfig())
+        channel = defaults["channel"]
+        for key in ("h", "h_tilde"):
+            channel[key] = [channel[key].real, channel[key].imag]
+        assert out == {**defaults, "targets": list(defaults["targets"])}
+        assert RunConfig.from_dict(out) == RunConfig()
 
     def test_flag_overrides_config_seed(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"mc": {"seed": 5}})
@@ -314,6 +328,12 @@ class TestConfigHandling:
         code = main(["region", "--config", cfg])
         assert code == 2
         assert "k4 must be nonnegative" in capsys.readouterr().err
+
+    def test_negative_quadratic_weight_in_config(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"channel": {"k2": -0.1}})
+        code = main(["region", "--config", cfg])
+        assert code == 2
+        assert "k2 must be nonnegative" in capsys.readouterr().err
 
     def test_channel_override_in_config(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"channel": {"h": [2.0, 0.0]}})

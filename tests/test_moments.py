@@ -5,6 +5,7 @@ truncated mixture for small discrete alphabets (exact, no Monte Carlo) and
 against its alternate pseudo-moment formulation on randomized valid profiles.
 """
 
+import dataclasses
 import itertools
 import math
 
@@ -19,6 +20,7 @@ from swipt.moments import (
     q_tilde,
 )
 from swipt.series import partial_sum, s_coeff
+from swipt.simulate import FiniteConstellation, draw_symbols, profile_of
 
 from oracles import q_tilde_intermediate
 
@@ -29,7 +31,7 @@ QPSK_PROFILE = MomentProfile(0.0, 0.0, 0.5, 0.5, 0.0, 0.0, 0.25, 0.25)
 class TestProfileValidation:
     def test_valid_profile_roundtrip(self):
         p = gaussian_profile(0.5, -0.2, 1.0, 0.3)
-        again = MomentProfile.from_dict(p.as_dict())
+        again = MomentProfile.from_dict(dataclasses.asdict(p))
         assert again == p
 
     def test_variance_violation(self):
@@ -57,11 +59,35 @@ class TestProfileValidation:
 
     def test_from_dict_rejects_unknown_and_missing(self):
         with pytest.raises(ValueError, match="unknown"):
-            MomentProfile.from_dict({**QPSK_PROFILE.as_dict(), "extra": 1.0})
-        bad = QPSK_PROFILE.as_dict()
+            MomentProfile.from_dict({**dataclasses.asdict(QPSK_PROFILE), "extra": 1.0})
+        bad = dataclasses.asdict(QPSK_PROFILE)
         del bad["Q_i"]
         with pytest.raises(ValueError, match="missing"):
             MomentProfile.from_dict(bad)
+
+    def test_third_moment_beyond_hankel_bound(self):
+        # P*Q < T^2: accepted by the variance and Jensen checks alone, and
+        # delivered_power would then return 153.886
+        with pytest.raises(ValueError, match="T_r"):
+            MomentProfile(0.0, 0.0, 1.0, 1.0, 100.0, 0.0, 1.0, 1.0)
+
+    def test_negative_hankel_determinant(self):
+        # every 2x2 principal minor is nonnegative, the 3x3 determinant is -1/4
+        with pytest.raises(ValueError, match="determinant in dimension i"):
+            MomentProfile(0.0, 0.5, 1.0, 1.0, 0.0, 0.0, 1.0, 1.0)
+
+    def test_singular_valid_profiles_pass(self):
+        bpsk = FiniteConstellation((1.0, -1.0), (0.5, 0.5))
+        profiles = [
+            QPSK_PROFILE,
+            profile_of(FiniteConstellation.qpsk()),
+            profile_of(bpsk),
+            MomentProfile(2.0, 0.0, 4.0, 0.0, 8.0, 0.0, 16.0, 0.0),
+        ]
+        for dist in (FiniteConstellation.qpsk(), bpsk):
+            profiles.append(empirical_profile(draw_symbols(dist, 10_000, 3)))
+        for p in profiles:
+            assert MomentProfile.from_dict(dataclasses.asdict(p)) == p
 
     def test_swapped(self):
         p = gaussian_profile(0.5, -0.2, 1.0, 0.3)

@@ -27,7 +27,7 @@ class TestChannelParams:
     def test_roundtrip(self):
         ch = ChannelParams(h=0.5 - 0.25j, h_tilde=1.0j, sigma_w2=0.01,
                            f_w=2.0, k2=0.1, k4=5.0)
-        assert ChannelParams.from_dict(ch.as_dict()) == ch
+        assert ChannelParams.from_dict(dataclasses.asdict(ch)) == ch
 
     def test_scalar_h_promotes_to_complex(self):
         ch = ChannelParams(h=2, h_tilde=0, sigma_w2=0.01, f_w=1.0,
@@ -46,6 +46,11 @@ class TestChannelParams:
             ChannelParams(k4=-1e-3)
         assert coeffs(ChannelParams(k4=0.0)).alpha == 0.0
 
+    def test_rejects_negative_quadratic_weight(self):
+        with pytest.raises(ValueError, match="k2"):
+            ChannelParams(k2=-1e-3)
+        assert coeffs(ChannelParams(k2=0.0, k4=0.0)).beta == 0.0
+
     @pytest.mark.parametrize("field, value", [
         ("h", complex(math.nan, 0.0)), ("h_tilde", complex(0.0, math.inf)),
         ("sigma_w2", math.inf), ("f_w", math.nan), ("k2", math.nan),
@@ -55,7 +60,7 @@ class TestChannelParams:
             ChannelParams(**{field: value})
 
     def test_from_dict_rejects_unknown_keys(self):
-        data = reference_channel().as_dict()
+        data = dataclasses.asdict(reference_channel())
         data["gain"] = 3.0
         with pytest.raises(ValueError, match="unknown"):
             ChannelParams.from_dict(data)

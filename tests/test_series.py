@@ -6,6 +6,7 @@ vectorized sums), against the vectorized brute-force enumerator in
 oracles.py, and against the analytic limits as the truncation window grows.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -166,7 +167,7 @@ class TestReports:
         assert report.analytic == pytest.approx(2.0 / 3.0)
         assert report.truncation == 128
         assert report.abs_error == abs(report.analytic - report.partial_sum)
-        d = report.as_dict()
+        d = dataclasses.asdict(report)
         assert set(d) == {"id", "analytic", "partial_sum", "truncation", "abs_error"}
 
     def test_verify_covers_all_series(self):

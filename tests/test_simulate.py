@@ -6,6 +6,7 @@ checks (determinism, estimator equivalence at the degenerate oversampling
 factor) are exact.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -287,7 +288,7 @@ class TestMcDeliveredPowerValues:
         assert est.seed == 77
         assert est.n_samples > 0
         assert est.std_error > 0.0
-        assert set(est.as_dict()) == {"mean", "std_error", "n_samples", "seed"}
+        assert set(dataclasses.asdict(est)) == {"mean", "std_error", "n_samples", "seed"}
 
 
 class TestEvenFourthMoment:

@@ -4,6 +4,7 @@ Rate anchors are plain logarithms checked against math.log2; allocation
 anchors were frozen from a 1e-6-step grid search run separately.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -16,10 +17,10 @@ from swipt.rectenna import (
     delivered_power,
     delivered_power_gaussian_zero_mean,
 )
+from swipt.simulate import GaussianZeroMean
 from swipt.tradeoff import (
     Infeasible,
     KktReport,
-    PowerAllocation,
     kkt_check,
     optimal_allocation,
     pdc_max,
@@ -44,29 +45,25 @@ def linear_channel():
 class TestAllocation:
     def test_rejects_negative_power(self):
         with pytest.raises(ValueError):
-            PowerAllocation(-0.1, 0.5)
-
-    def test_swapped(self):
-        a = PowerAllocation(0.7, 0.3)
-        assert a.swapped() == PowerAllocation(0.3, 0.7)
+            GaussianZeroMean(-0.1, 0.5)
 
 
 class TestRate:
     def test_even_split_value(self):
         # a = 2|h|^2/(f_w sigma_w2) = 2e4; each dimension sees a*0.5 = 1e4
-        rate = rate_gaussian(PowerAllocation(0.5, 0.5), CH)
+        rate = rate_gaussian(GaussianZeroMean(0.5, 0.5), CH)
         assert rate == pytest.approx(math.log2(10001.0), rel=1e-14)
 
     def test_corner_value(self):
-        rate = rate_gaussian(PowerAllocation(1.0, 0.0), CH)
+        rate = rate_gaussian(GaussianZeroMean(1.0, 0.0), CH)
         assert rate == pytest.approx(0.5 * math.log2(20001.0), rel=1e-14)
 
     def test_symmetric_under_swap(self):
-        a = PowerAllocation(0.8, 0.2)
-        assert rate_gaussian(a, CH) == rate_gaussian(a.swapped(), CH)
+        assert (rate_gaussian(GaussianZeroMean(0.8, 0.2), CH)
+                == rate_gaussian(GaussianZeroMean(0.2, 0.8), CH))
 
     def test_zero_input_rate(self):
-        assert rate_gaussian(PowerAllocation(0.0, 0.0), CH) == 0.0
+        assert rate_gaussian(GaussianZeroMean(0.0, 0.0), CH) == 0.0
 
 
 class TestEndpoints:
@@ -89,11 +86,11 @@ class TestEndpoints:
 class TestOptimalAllocation:
     def test_slack_target_gives_even_split(self):
         alloc = optimal_allocation(1.0, 10.0, CH)
-        assert alloc == PowerAllocation(0.5, 0.5)
+        assert alloc == GaussianZeroMean(0.5, 0.5)
 
     def test_target_at_max_gives_corner(self):
         alloc = optimal_allocation(1.0, pdc_max(1.0, CH), CH)
-        assert alloc == PowerAllocation(1.0, 0.0)
+        assert alloc == GaussianZeroMean(1.0, 0.0)
 
     def test_unreachable_target_raises_typed_error(self):
         with pytest.raises(Infeasible, match="exceeds the maximum"):
@@ -149,8 +146,8 @@ class TestRegion:
 
     def test_endpoints(self):
         pts = rp_region(1.0, CH, 11)
-        assert pts[0].allocation == PowerAllocation(1.0, 0.0)
-        assert pts[-1].allocation == PowerAllocation(0.5, 0.5)
+        assert pts[0].allocation == GaussianZeroMean(1.0, 0.0)
+        assert pts[-1].allocation == GaussianZeroMean(0.5, 0.5)
         assert pts[0].power == pytest.approx(pdc_max(1.0, CH), rel=1e-12)
         assert pts[-1].rate == pytest.approx(math.log2(10001.0), rel=1e-12)
 
@@ -178,7 +175,7 @@ class TestDegenerateQuartic:
     def test_reachable_target_gives_even_split(self):
         ch = linear_channel()
         alloc = optimal_allocation(1.0, 0.5 * pdc_min(1.0, ch), ch)
-        assert alloc == PowerAllocation(0.5, 0.5)
+        assert alloc == GaussianZeroMean(0.5, 0.5)
 
     def test_unreachable_target_is_infeasible(self):
         ch = linear_channel()
@@ -202,7 +199,7 @@ class TestKktCheck:
     def test_even_split_with_slack_power(self):
         """Below pdc_min the power multiplier must vanish and the budget
         multiplier equals the (common) marginal rate."""
-        report = kkt_check(PowerAllocation(0.5, 0.5), 0.0, 0.0, 1.0, 10.0, CH)
+        report = kkt_check(GaussianZeroMean(0.5, 0.5), 0.0, 0.0, 1.0, 10.0, CH)
         assert report.complementary_slackness_ok
         assert report.lambda2 == 0.0
         a = 2e4
@@ -212,7 +209,7 @@ class TestKktCheck:
 
     def test_corner_certifies(self):
         target = pdc_max(1.0, CH)
-        report = kkt_check(PowerAllocation(1.0, 0.0), 0.0, 0.0, 1.0, target, CH)
+        report = kkt_check(GaussianZeroMean(1.0, 0.0), 0.0, 0.0, 1.0, target, CH)
         assert report.complementary_slackness_ok
         assert abs(report.stationarity_residual_Pr) < 1e-8
         assert abs(report.stationarity_residual_Pi) < 1e-8
@@ -221,7 +218,7 @@ class TestKktCheck:
     def test_non_optimal_point_is_falsified(self):
         """Interior budget slack pins lambda1 at zero; no nonnegative lambda2
         can then cancel a positive marginal rate, so the residual survives."""
-        alloc = PowerAllocation(0.5, 0.3)
+        alloc = GaussianZeroMean(0.5, 0.3)
         own_power = delivered_power_gaussian_zero_mean(0.5, 0.3, CH)
         report = kkt_check(alloc, 0.0, 0.0, 1.0, own_power, CH)
         assert report.lambda1 == 0.0
@@ -231,7 +228,7 @@ class TestKktCheck:
         assert report.stationarity_residual_Pr > 1.0
 
     def test_nonzero_mean_is_falsified(self):
-        report = kkt_check(PowerAllocation(0.5, 0.5), 0.3, 0.0, 1.0, 10.0, CH)
+        report = kkt_check(GaussianZeroMean(0.5, 0.5), 0.3, 0.0, 1.0, 10.0, CH)
         var_r = 0.5 - 0.09
         a = 2e4
         rate_r = (0.5 / math.log(2.0)) * a / (1.0 + a * var_r)
@@ -241,12 +238,12 @@ class TestKktCheck:
 
     def test_mean_beyond_power_rejected(self):
         with pytest.raises(ValueError, match="negative variance"):
-            kkt_check(PowerAllocation(0.5, 0.5), 1.0, 0.0, 1.0, 10.0, CH)
+            kkt_check(GaussianZeroMean(0.5, 0.5), 1.0, 0.0, 1.0, 10.0, CH)
 
     def test_report_dict_keys(self):
-        report = kkt_check(PowerAllocation(0.5, 0.5), 0.0, 0.0, 1.0, 10.0, CH)
+        report = kkt_check(GaussianZeroMean(0.5, 0.5), 0.0, 0.0, 1.0, 10.0, CH)
         assert isinstance(report, KktReport)
-        assert set(report.as_dict()) == {
+        assert set(dataclasses.asdict(report)) == {
             "lambda1", "lambda2", "zeta_r", "zeta_i",
             "stationarity_residual_Pr", "stationarity_residual_Pi",
             "stationarity_residual_mu_r", "stationarity_residual_mu_i",
@@ -266,7 +263,7 @@ def random_kkt_inputs(rng, n):
                            k4=rng.choice([0.0, rng.uniform(0.0, 30.0)]))
         total = rng.uniform(0.01, 3.0)
         share = rng.choice([0.0, 1.0, 0.5, rng.uniform()])
-        alloc = PowerAllocation(total * share, total * (1.0 - share))
+        alloc = GaussianZeroMean(total * share, total * (1.0 - share))
         mu_r = mu_i = 0.0
         if rng.uniform() < 0.3:
             mu_r, mu_i = (rng.choice([-1.0, 1.0, rng.uniform(-1.0, 1.0)]) * math.sqrt(p)
