@@ -13,6 +13,7 @@ symbol stream are even stable under changes of the total length.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -39,6 +40,9 @@ __all__ = [
 ]
 
 _BLOCK = 1000
+# Blocks per pass of the chunked loops: the Gaussian draws' scaling and the
+# fused integrand and block reduction.
+_CHUNK_ROWS = 16
 # Substream purpose tags; they keep symbol and noise draws independent.
 _DOM_SYMBOLS = 0x01
 _DOM_NOISE_EVEN = 0x02
@@ -57,13 +61,36 @@ def _mix64(x):
     return x ^ (x >> 31)
 
 
+def _substream_key(seed, domain, index):
+    return seed ^ _mix64(((domain & 0xFF) << 56) ^ index)
+
+
 def _substream(seed, domain, index):
-    key = seed ^ _mix64(((domain & 0xFF) << 56) ^ index)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=_substream_key(seed, domain, index)))
+
+
+def _substreams(seed, domain, n_blocks):
+    # The generators of blocks 0 .. n_blocks-1, in order.  One Philox is
+    # re-keyed through its public state setter into the state a freshly built
+    # _substream(seed, domain, b) starts in: zero counter, empty buffer.
+    gen = _substream(seed, domain, 0)
+    fresh = gen.bit_generator.state
+    for b in range(n_blocks):
+        if b:
+            fresh["state"]["key"][0] = _substream_key(seed, domain, b)
+            gen.bit_generator.state = fresh
+        yield gen
+
+
+def _integer(value, name):
+    # Integral floats such as 2e5 are accepted; 2.9 is an error, not 2.
+    if isinstance(value, (float, np.floating)) and not value.is_integer():
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _check_seed(seed):
-    seed = int(seed)
+    seed = _integer(seed, "seed")
     if not 0 <= seed < (1 << 64):
         raise ValueError("seed must be an unsigned 64-bit integer")
     return seed
@@ -77,8 +104,9 @@ class GaussianZeroMean:
     P_i: float
 
     def __post_init__(self):
-        if self.P_r < 0.0 or self.P_i < 0.0:
-            raise ValueError("powers must be nonnegative")
+        # chained comparisons: as cheap as a sign check, and false for NaN
+        if not (0.0 <= self.P_r < math.inf and 0.0 <= self.P_i < math.inf):
+            raise ValueError("powers must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -91,8 +119,10 @@ class GaussianGeneral:
     var_i: float
 
     def __post_init__(self):
-        if self.var_r < 0.0 or self.var_i < 0.0:
-            raise ValueError("variances must be nonnegative")
+        if not (math.isfinite(self.mu_r) and math.isfinite(self.mu_i)):
+            raise ValueError("means must be finite")
+        if not (0.0 <= self.var_r < math.inf and 0.0 <= self.var_i < math.inf):
+            raise ValueError("variances must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -109,8 +139,10 @@ class FiniteConstellation:
             raise ValueError("constellation must be nonempty")
         if len(pts) != len(pr):
             raise ValueError("points and probs must have the same length")
-        if any(p < 0.0 for p in pr):
-            raise ValueError("probabilities must be nonnegative")
+        if not all(math.isfinite(p.real) and math.isfinite(p.imag) for p in pts):
+            raise ValueError("points must be finite")
+        if not all(0.0 <= p < math.inf for p in pr):
+            raise ValueError("probabilities must be finite and nonnegative")
         if abs(math.fsum(pr) - 1.0) > 1e-12:
             raise ValueError("probabilities must sum to 1")
         object.__setattr__(self, "points", pts)
@@ -144,52 +176,58 @@ def profile_of(dist):
     raise TypeError(f"unsupported input distribution: {dist!r}")
 
 
-def _draw_block(dist, n, gen):
-    if isinstance(dist, GaussianZeroMean):
-        re = gen.standard_normal(n) * math.sqrt(dist.P_r)
-        im = gen.standard_normal(n) * math.sqrt(dist.P_i)
-        return re + 1j * im
-    if isinstance(dist, GaussianGeneral):
-        re = dist.mu_r + gen.standard_normal(n) * math.sqrt(dist.var_r)
-        im = dist.mu_i + gen.standard_normal(n) * math.sqrt(dist.var_i)
-        return re + 1j * im
-    if isinstance(dist, FiniteConstellation):
-        pts = np.asarray(dist.points)
-        idx = gen.choice(pts.size, size=n, p=np.asarray(dist.probs))
-        return pts[idx]
-    raise TypeError(f"unsupported input distribution: {dist!r}")
-
-
 def _draw(dist, n, seed, domain):
     # Block b of the stream comes from substream (seed, domain, b) and always
     # consumes a full _BLOCK worth of draws (a short tail is sliced), so
-    # extending n never disturbs values already produced.
-    out = np.empty(n, dtype=complex)
-    for start in range(0, n, _BLOCK):
-        count = min(_BLOCK, n - start)
-        gen = _substream(seed, domain, start // _BLOCK)
-        out[start:start + count] = _draw_block(dist, _BLOCK, gen)[:count]
-    return out
+    # extending n never disturbs values already produced.  Within a block the
+    # real parts are drawn before the imaginary parts.  Gaussian blocks are
+    # drawn and scaled _CHUNK_ROWS at a time through one reused buffer.
+    n_blocks = -(-n // _BLOCK)
+    streams = _substreams(seed, domain, n_blocks)
+    out = np.empty((n_blocks, _BLOCK), dtype=complex)
+    if isinstance(dist, FiniteConstellation):
+        pts, probs = np.asarray(dist.points), np.asarray(dist.probs)
+        for row, gen in zip(out, streams):
+            row[:] = pts[gen.choice(pts.size, size=_BLOCK, p=probs)]
+        return out.reshape(-1)[:n]
+    if not isinstance(dist, (GaussianZeroMean, GaussianGeneral)):
+        raise TypeError(f"unsupported input distribution: {dist!r}")
+    normals = np.empty((_CHUNK_ROWS, 2, _BLOCK))
+    for start in range(0, n_blocks, _CHUNK_ROWS):
+        chunk = normals[:n_blocks - start]
+        for block, gen in zip(chunk, streams):
+            gen.standard_normal(out=block)
+        if isinstance(dist, GaussianZeroMean):
+            re = chunk[:, 0] * math.sqrt(dist.P_r)
+            im = chunk[:, 1] * math.sqrt(dist.P_i)
+        else:
+            re = dist.mu_r + chunk[:, 0] * math.sqrt(dist.var_r)
+            im = dist.mu_i + chunk[:, 1] * math.sqrt(dist.var_i)
+        out[start:start + len(chunk)] = re + 1j * im
+    return out.reshape(-1)[:n]
 
 
 def draw_symbols(dist, n, seed):
     """n i.i.d. symbols, deterministic in (dist, n, seed) and prefix-stable in n."""
-    n = int(n)
+    n = _integer(n, "n")
     if n < 1:
         raise ValueError("n must be >= 1")
     return _draw(dist, n, _check_seed(seed), _DOM_SYMBOLS)
 
 
-_KERNEL_CACHE = {}
-
-
+@functools.cache
 def _kernel(window):
-    # taps s_{-window} .. s_{window}, convolution-ordered
-    kern = _KERNEL_CACHE.get(window)
-    if kern is None:
-        kern = s_coeff(np.arange(-window, window + 1))
-        _KERNEL_CACHE[window] = kern
+    # taps s_{-window} .. s_{window}, convolution-ordered; shared, so read-only
+    kern = s_coeff(np.arange(-window, window + 1))
+    kern.flags.writeable = False
     return kern
+
+
+@functools.lru_cache(maxsize=1)
+def _kernel_spectrum(window, size):
+    spectrum = np.fft.rfft(_kernel(window), size)
+    spectrum.flags.writeable = False
+    return spectrum
 
 
 def half_sample_value(symbols, k, window):
@@ -200,10 +238,10 @@ def half_sample_value(symbols, k, window):
     rejected rather than silently zero-padded.
     """
     symbols = np.asarray(symbols)
-    window = int(window)
+    window = _integer(window, "window")
     if window < 1:
         raise ValueError("window must be >= 1")
-    k = int(k)
+    k = _integer(k, "k")
     if k - window < 0 or k + window >= symbols.size:
         raise ValueError("k too close to the symbol-array edge for this window")
     segment = symbols[k - window:k + window + 1]
@@ -217,10 +255,9 @@ def _half_samples(symbols, window):
     # caller (the guard regions below).  The kernel is real, so the real and
     # imaginary parts are convolved separately by real FFTs, at a power-of-two
     # length covering the full linear convolution.
-    kern = _kernel(window)
     n = symbols.size
-    size = 1 << (n + kern.size - 2).bit_length()
-    kern_spectrum = np.fft.rfft(kern, size)
+    size = 1 << (n + 2 * window - 1).bit_length()
+    kern_spectrum = _kernel_spectrum(window, size)
     out = np.empty(n, dtype=complex)
     for part, dest in ((symbols.real, out.real), (symbols.imag, out.imag)):
         dest[:] = np.fft.irfft(np.fft.rfft(part, size) * kern_spectrum,
@@ -228,19 +265,28 @@ def _half_samples(symbols, window):
     return out
 
 
+def _pad_spectrum(spectrum, num):
+    # The spectrum of an even-length sequence zero-padded to num >= its length
+    # and scaled by num / length while it is copied, ready for the inverse
+    # FFT.  On a longer grid the unpaired Nyquist bin is split in half between
+    # +/- the old Nyquist frequency; it is halved in `spectrum` itself.
+    size = spectrum.size
+    half = size // 2
+    if num > size:
+        spectrum[half] /= 2
+    scale = size / num
+    padded = np.zeros(num, dtype=complex)
+    np.divide(spectrum[:half + 1], scale, out=padded[:half + 1])
+    np.divide(spectrum[half + 1:], scale, out=padded[num - half + 1:])
+    if num > size:
+        padded[num - half] = padded[half]
+    return padded
+
+
 def _upsample(x, num):
     # Band-limited interpolation of an even-length sequence onto num >= x.size
-    # points by zero-padding its spectrum; on a longer grid the unpaired
-    # Nyquist bin is split in half between +/- the old Nyquist frequency.
-    half = x.size // 2
-    spectrum = np.fft.fft(x)
-    padded = np.zeros(num, dtype=complex)
-    padded[:half + 1] = spectrum[:half + 1]
-    padded[num - half + 1:] = spectrum[half + 1:]
-    if num > x.size:
-        padded[half] /= 2
-        padded[num - half] = padded[half]
-    padded /= x.size / num
+    # points by zero-padding its spectrum; x is left unchanged.
+    padded = _pad_spectrum(np.fft.fft(x), num)
     return np.fft.ifft(padded, out=padded)
 
 
@@ -263,10 +309,10 @@ def mc_q_tilde(dist, n_blocks, window, seed):
     |X~|^4 value, so block values are i.i.d. and the reported standard error
     is exact.
     """
-    n_blocks = int(n_blocks)
+    n_blocks = _integer(n_blocks, "n_blocks")
     if n_blocks < 100:
         raise ValueError("n_blocks must be >= 100")
-    window = int(window)
+    window = _integer(window, "window")
     if window < 1:
         raise ValueError("window must be >= 1")
     seed = _check_seed(seed)
@@ -289,6 +335,19 @@ def _integrand(y, ch):
     # coefficients encode.  See mc_delivered_power for the consequences.
     power = y.real**2 + y.imag**2
     return 2.0 * ch.k2 * power + 1.5 * ch.k4 * power * power
+
+
+def _integrand_means(y, ch, row_len, f_w=1.0):
+    # Row means of _integrand(y) / f_w with y cut into rows of row_len.  The
+    # rows are evaluated _CHUNK_ROWS at a time, so no temporary as long as y
+    # is built, and each row sees the same operations in the same order as a
+    # whole-array evaluation: the means are bit-identical to it.
+    n_rows = y.size // row_len
+    means = np.empty(n_rows)
+    for row in range(0, n_rows, _CHUNK_ROWS):
+        values = _integrand(y[row * row_len:(row + _CHUNK_ROWS) * row_len], ch) / f_w
+        values.reshape(-1, row_len).mean(axis=1, out=means[row:row + _CHUNK_ROWS])
+    return means
 
 
 def _blocking(interior):
@@ -332,18 +391,24 @@ def mc_delivered_power(dist, ch, n_symbols, oversample, seed,
     A guard of `window` symbols at each end is excluded from the averages so
     sinc truncation and the periodic wrap of the interpolation never touch
     them.  The standard error comes from means over 1000-symbol blocks.
+
+    Memory: the oversampled estimator peaks at one n*oversample complex grid
+    (16*n*oversample bytes) plus the FFT's scratch; the symbols, mid-samples
+    and both phase sequences are released before the grid's inverse FFT, and
+    the integrand is reduced a few blocks at a time.  The half-rate estimator
+    holds a few length-n arrays.
     """
-    n = int(n_symbols)
+    n = _integer(n_symbols, "n_symbols")
     if n < 1000:
         raise ValueError("n_symbols must be >= 1000")
-    oversample = int(oversample)
+    oversample = _integer(oversample, "oversample")
     if oversample < 2:
         raise ValueError(
             "oversample must be >= 2: the squared envelope has twice the "
             "signal bandwidth")
     if estimator not in ESTIMATORS:
         raise ValueError(f"estimator must be one of {ESTIMATORS}")
-    window = int(window)
+    window = _integer(window, "window")
     if window < 1:
         raise ValueError("window must be >= 1")
     seed = _check_seed(seed)
@@ -354,23 +419,30 @@ def mc_delivered_power(dist, ch, n_symbols, oversample, seed,
     symbols = draw_symbols(dist, n, seed)
     mid = _half_samples(symbols, window)
     y_even = ch.h * symbols + _draw_noise(n, ch.sigma_w2, seed, _DOM_NOISE_EVEN)
+    del symbols
     y_mid = ch.h_tilde * mid + _draw_noise(n, ch.sigma_w2, seed, _DOM_NOISE_ODD)
+    del mid
 
     block_len, n_blocks = _blocking(hi - lo)
     hi = lo + n_blocks * block_len  # whole blocks only
 
     if estimator == "half_rate":
-        even_vals = _integrand(y_even[lo:hi], ch).reshape(n_blocks, block_len)
-        mid_vals = _integrand(y_mid[lo:hi], ch).reshape(n_blocks, block_len)
-        block_means = 0.5 * (even_vals.mean(axis=1) + mid_vals.mean(axis=1)) / ch.f_w
+        even_means = _integrand_means(y_even[lo:hi], ch, block_len)
+        mid_means = _integrand_means(y_mid[lo:hi], ch, block_len)
+        block_means = 0.5 * (even_means + mid_means) / ch.f_w
         n_used = 2 * n_blocks * block_len
     else:
         interleaved = np.empty(2 * n, dtype=complex)
         interleaved[0::2] = y_even
         interleaved[1::2] = y_mid
-        fine = _upsample(interleaved, n * oversample)
-        values = _integrand(fine[lo * oversample:hi * oversample], ch) / ch.f_w
-        block_means = values.reshape(n_blocks, block_len * oversample).mean(axis=1)
+        del y_even, y_mid
+        # the forward FFT overwrites the interleaved buffer, which is then
+        # dropped: the padded grid is the only large array at the inverse FFT
+        padded = _pad_spectrum(np.fft.fft(interleaved, out=interleaved), n * oversample)
+        del interleaved
+        fine = np.fft.ifft(padded, out=padded)
+        block_means = _integrand_means(fine[lo * oversample:hi * oversample], ch,
+                                       block_len * oversample, ch.f_w)
         n_used = n_blocks * block_len * oversample
 
     mean = float(block_means.mean())
@@ -380,7 +452,7 @@ def mc_delivered_power(dist, ch, n_symbols, oversample, seed,
 
 def mc_even_fourth_moment(dist, ch, n_symbols, seed):
     """Empirical fourth moment E[|Y_k|^4] of the integer-time channel output."""
-    n = int(n_symbols)
+    n = _integer(n_symbols, "n_symbols")
     if n < 1000:
         raise ValueError("n_symbols must be >= 1000")
     seed = _check_seed(seed)

@@ -7,7 +7,9 @@ derived route to a quantity the package computes in closed form.
 * q_tilde_intermediate — the mid-sample fourth moment via pseudo-moments;
 * bisection_allocation — the tradeoff split by bisection on the power residual;
 * kkt_check_nnls — the first-order certificate with its multipliers fitted
-  by nonnegative least squares (SciPy).
+  by nonnegative least squares (SciPy);
+* draw_per_block — the symbol and noise streams drawn block by block, each
+  block from its own freshly built substream generator.
 """
 
 import math
@@ -17,7 +19,7 @@ import numpy as np
 from swipt.moments import derived_moments, gaussian_profile
 from swipt.rectenna import coeffs, delivered_power, delivered_power_gaussian_zero_mean
 from swipt.series import SERIES_IDS, s_coeff
-from swipt.simulate import GaussianZeroMean
+from swipt.simulate import FiniteConstellation, GaussianGeneral, GaussianZeroMean, _substream
 from swipt.tradeoff import Infeasible, KktReport, pdc_max, pdc_min
 
 _PAIR_IDS = ("S1", "S3", "S6")
@@ -218,3 +220,34 @@ def kkt_check_nnls(alloc, mu_r, mu_i, P_a, P_d, ch, tol=1e-6):
     report = KktReport(lam1, lam2, zeta_r, zeta_i,
                        res_pr, res_pi, res_mu_r, res_mu_i, cs_ok)
     return report, np.linalg.matrix_rank(system) == len(free)
+
+
+def _draw_block(dist, n, gen):
+    if isinstance(dist, GaussianZeroMean):
+        re = gen.standard_normal(n) * math.sqrt(dist.P_r)
+        im = gen.standard_normal(n) * math.sqrt(dist.P_i)
+        return re + 1j * im
+    if isinstance(dist, GaussianGeneral):
+        re = dist.mu_r + gen.standard_normal(n) * math.sqrt(dist.var_r)
+        im = dist.mu_i + gen.standard_normal(n) * math.sqrt(dist.var_i)
+        return re + 1j * im
+    if isinstance(dist, FiniteConstellation):
+        pts = np.asarray(dist.points)
+        idx = gen.choice(pts.size, size=n, p=np.asarray(dist.probs))
+        return pts[idx]
+    raise TypeError(f"unsupported input distribution: {dist!r}")
+
+
+def draw_per_block(dist, n, seed, domain, block=1000):
+    """The stream simulate._draw produces, built one block at a time.
+
+    Block b comes from a freshly built _substream(seed, domain, b) and always
+    consumes a full block of draws, real parts before imaginary parts; a
+    short tail is sliced.
+    """
+    out = np.empty(n, dtype=complex)
+    for start in range(0, n, block):
+        count = min(block, n - start)
+        gen = _substream(seed, domain, start // block)
+        out[start:start + count] = _draw_block(dist, block, gen)[:count]
+    return out

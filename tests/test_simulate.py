@@ -8,6 +8,7 @@ factor) are exact.
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +30,19 @@ from swipt.simulate import (
     mc_q_tilde,
     profile_of,
 )
-from swipt.simulate import _half_samples, _kernel, _upsample
+from swipt.simulate import (
+    _DOM_NOISE_ODD,
+    _DOM_QTILDE,
+    _DOM_SYMBOLS,
+    _draw,
+    _half_samples,
+    _kernel,
+    _substream,
+    _substreams,
+    _upsample,
+)
+
+from oracles import draw_per_block
 
 
 CH = ChannelParams(h=1.0, h_tilde=1.0, sigma_w2=1e-4, f_w=1.0,
@@ -60,6 +73,28 @@ class TestDistributions:
             GaussianZeroMean(-0.1, 0.5)
         with pytest.raises(ValueError):
             GaussianGeneral(0.0, 0.0, 1.0, -1.0)
+
+    @pytest.mark.parametrize("fields", [
+        (GaussianZeroMean, (math.nan, 1.0)),
+        (GaussianZeroMean, (1.0, math.inf)),
+        (GaussianGeneral, (math.nan, 0.0, 1.0, 1.0)),
+        (GaussianGeneral, (0.0, -math.inf, 1.0, 1.0)),
+        (GaussianGeneral, (0.0, 0.0, math.inf, 1.0)),
+        (GaussianGeneral, (0.0, 0.0, 1.0, math.nan)),
+        (FiniteConstellation, ((1.0, -1.0), (math.nan, math.nan))),
+        (FiniteConstellation, ((1.0, -1.0), (math.inf, -math.inf))),
+        (FiniteConstellation, ((1.0, complex(math.inf, 0.0)), (0.5, 0.5))),
+        (FiniteConstellation, ((1.0, complex(0.0, math.nan)), (0.5, 0.5))),
+    ], ids=repr)
+    def test_non_finite_fields_rejected(self, fields):
+        kind, args = fields
+        with pytest.raises(ValueError, match="finite"):
+            kind(*args)
+
+    def test_boundary_spreads_accepted(self):
+        GaussianZeroMean(0.0, 0.0)
+        GaussianZeroMean(1.0, 0.0)
+        GaussianGeneral(-2.0, 3.0, 0.0, 0.0)
 
     def test_profile_of_rejects_unknown_type(self):
         with pytest.raises(TypeError):
@@ -99,6 +134,83 @@ class TestDrawSymbols:
         assert np.mean(samples.real) == pytest.approx(exact.mu_r, abs=0.005)
         assert np.mean(samples.real**2) == pytest.approx(exact.P_r, abs=0.01)
         assert np.mean(samples.imag**4) == pytest.approx(exact.Q_i, abs=0.01)
+
+
+class TestIntegralArguments:
+    """Sizes and seeds that int() would truncate are errors; integral floats
+    such as 2e3 are accepted and mean the same as the integer."""
+
+    DIST = GaussianZeroMean(0.5, 0.5)
+
+    @pytest.mark.parametrize("call", [
+        lambda d: draw_symbols(d, 2.9, 7),
+        lambda d: draw_symbols(d, 3, 7.8),
+        lambda d: draw_symbols(d, 3, math.nan),
+        lambda d: draw_symbols(d, 3, math.inf),
+        lambda d: mc_delivered_power(d, CH, 2000.5, 4, SEED),
+        lambda d: mc_delivered_power(d, CH, 2000, 4.5, SEED),
+        lambda d: mc_delivered_power(d, CH, 2000, 4, SEED, window=16.5),
+        lambda d: mc_delivered_power(d, CH, 2000, 4, 1.5),
+        lambda d: mc_q_tilde(d, 200.5, 16, SEED),
+        lambda d: mc_q_tilde(d, 200, 16.5, SEED),
+        lambda d: mc_q_tilde(d, 200, 16, np.float64(0.5)),
+        lambda d: mc_even_fourth_moment(d, CH, 5000.5, SEED),
+        lambda d: half_sample_value(np.ones(10, dtype=complex), 5.5, 3),
+        lambda d: half_sample_value(np.ones(10, dtype=complex), 5, 3.5),
+    ])
+    def test_non_integral_rejected(self, call):
+        with pytest.raises(ValueError, match="must be an integer"):
+            call(self.DIST)
+
+    def test_integral_floats_accepted(self):
+        d = self.DIST
+        assert np.array_equal(draw_symbols(d, 2e3, 7.0), draw_symbols(d, 2000, 7))
+        assert (mc_delivered_power(d, CH, 2e3, 4.0, float(SEED), window=16.0)
+                == mc_delivered_power(d, CH, 2000, 4, SEED, window=16))
+        assert mc_q_tilde(d, 2e2, 16.0, SEED) == mc_q_tilde(d, 200, 16, SEED)
+
+
+class TestStreamLayout:
+    """The vectorised drawer against the block-by-block oracle, compared as
+    bytes so that signed zeros count too."""
+
+    DISTS = [
+        GaussianZeroMean(0.5, 0.5),
+        GaussianZeroMean(1.0, 0.0),
+        GaussianZeroMean(0.0, 1.0),
+        GaussianGeneral(0.3, -0.1, 1.0, 0.5),
+        GaussianGeneral(-1.0, 2.0, 0.0, 0.25),
+        FiniteConstellation.qpsk(),
+        FiniteConstellation((0.0, 1.0 - 2.0j, -0.5j), (0.2, 0.5, 0.3)),
+    ]
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    @pytest.mark.parametrize("dist", DISTS, ids=repr)
+    def test_bit_identical_to_per_block_oracle(self, dist, seed):
+        for n in (1, 999, 1000, 1001, 12345):
+            for domain in (_DOM_SYMBOLS, _DOM_QTILDE):
+                ours = _draw(dist, n, seed, domain)
+                assert ours.shape == (n,) and ours.dtype == complex
+                assert ours.tobytes() == draw_per_block(dist, n, seed, domain).tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_rekeyed_generator_matches_fresh_substream(self, seed):
+        def plain(state):
+            return {key: plain(value) if isinstance(value, dict) else np.asarray(value).tolist()
+                    for key, value in state.items()}
+
+        for b, gen in enumerate(_substreams(seed, _DOM_NOISE_ODD, 6)):
+            fresh = _substream(seed, _DOM_NOISE_ODD, b)
+            assert plain(gen.bit_generator.state) == plain(fresh.bit_generator.state)
+            assert gen.standard_normal(7).tobytes() == fresh.standard_normal(7).tobytes()
+            # leave a half-used buffer and a cached 32-bit word for the re-key to clear
+            gen.integers(0, 10, size=3, dtype=np.uint32)
+
+    def test_upsample_leaves_its_input_unchanged(self):
+        waveform = draw_symbols(GaussianZeroMean(0.7, 0.3), 2000, SEED)
+        before = waveform.copy()
+        _upsample(waveform, 8000)
+        assert waveform.tobytes() == before.tobytes()
 
 
 class TestHalfSampleValue:
@@ -289,6 +401,29 @@ class TestMcDeliveredPowerValues:
         assert est.n_samples > 0
         assert est.std_error > 0.0
         assert set(dataclasses.asdict(est)) == {"mean", "std_error", "n_samples", "seed"}
+
+
+class TestMemory:
+    def test_oversampled_peak_is_about_one_grid(self):
+        """An oversampled run at n = 1e5, oversample 8 peaks at no more than
+        1.6 times its n*oversample complex grid in traced memory.  numpy
+        reports its array allocations to tracemalloc; the FFT library's
+        scratch is not traced, so the bound covers the estimator's arrays."""
+        n, oversample = 100_000, 8
+        dist = GaussianZeroMean(0.5, 0.5)
+        mc_delivered_power(dist, CH, 2000, oversample, SEED)  # imports and caches
+        was_tracing = tracemalloc.is_tracing()
+        if not was_tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            mc_delivered_power(dist, CH, n, oversample, SEED)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert peak <= 1.6 * n * oversample * 16
 
 
 class TestEvenFourthMoment:
