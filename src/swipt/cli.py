@@ -7,7 +7,9 @@ delivered-power breakdown for a moment profile or input distribution,
 form, and `region` tabulates the rate/power frontier (plus an optional solve
 per delivered-power target).
 
-Configuration is one JSON document; command-line flags override file values.
+Configuration is one JSON document.  Command-line flags are merged into it,
+overriding the file's values, and the result is checked by one reader,
+from_json.
 All numbers are emitted at full double precision so a fixed seed reproduces
 output byte-for-byte.  Exit codes: 0 all checks passed, 1 a validation check
 failed, 2 usage or config error.
@@ -20,16 +22,19 @@ import dataclasses
 import json
 import math
 import sys
+import typing
 from dataclasses import dataclass
 
 from .moments import MomentProfile, derived_moments
 from .rectenna import ChannelParams, coeffs, delivered_power
+from .series import _integer
 from .series import verify as verify_series
 from .simulate import (
     ESTIMATORS,
     FiniteConstellation,
     GaussianGeneral,
     GaussianZeroMean,
+    _check_seed,
     closed_form_delivered_power,
     mc_delivered_power,
     profile_of,
@@ -48,6 +53,7 @@ __all__ = [
     "SweepConfig",
     "OutputConfig",
     "RunConfig",
+    "from_json",
     "distribution_from_spec",
     "build_parser",
     "main",
@@ -64,12 +70,56 @@ def _reject_unknown(data, known, what):
         raise ConfigError(f"unknown {what} keys: {unknown}")
 
 
-def _integers(data, what):
-    # Integral floats such as 2e5 are accepted; 1.9 is an error, not 1.
-    for key, value in data.items():
-        if isinstance(value, float) and not value.is_integer():
-            raise ConfigError(f"{what}.{key} must be an integer, got {value!r}")
-    return {key: int(value) for key, value in data.items()}
+def _value(kind, value, name):
+    # value converted to the annotated type kind; a bad value names its field.
+    args = typing.get_args(kind)
+    if dataclasses.is_dataclass(kind):
+        return from_json(kind, value, name)
+    if type(None) in args:
+        return None if value is None else _value(args[0], value, name)
+    if kind is str:
+        if not isinstance(value, str):
+            raise ConfigError(f"{name} must be a string, got {value!r}")
+        return value
+    if typing.get_origin(kind) is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{name} must be a list, got {value!r}")
+        return tuple(_value(args[0], v, f"{name}[{i}]") for i, v in enumerate(value))
+    if kind is complex and isinstance(value, list) and len(value) == 2:
+        return complex(_value(float, value[0], f"{name}[0]"),
+                       _value(float, value[1], f"{name}[1]"))
+    numbers = (int, float, complex) if kind is complex else (int, float)
+    if isinstance(value, bool) or not isinstance(value, numbers):
+        expected = {int: "an integer", float: "a number",
+                    complex: "a number or an [re, im] pair"}[kind]
+        raise ConfigError(f"{name} must be {expected}, got {value!r}")
+    try:
+        return _integer(value, name) if kind is int else kind(value)
+    except OverflowError:
+        raise ConfigError(f"{name} is out of range, got {value!r}") from None
+    except ValueError as exc:
+        raise ConfigError(exc) from None
+
+
+def from_json(cls, data, what):
+    """A cls record from a parsed JSON object, its fields converted by annotation.
+
+    Integers accept integral floats such as 2e5, complex numbers an [re, im]
+    pair or a plain number; fields with defaults may be left out.  Any
+    malformed value raises ConfigError naming its path under what, such as
+    config.mc.seed.
+    """
+    if not isinstance(data, dict):
+        raise ConfigError(f"{what} must be an object, got {data!r}")
+    fields = dataclasses.fields(cls)
+    _reject_unknown(data, [f.name for f in fields], what)
+    missing = [f.name for f in fields
+               if f.name not in data and f.default is dataclasses.MISSING]
+    if missing:
+        raise ConfigError(f"missing {what} keys: {missing}")
+    kinds = typing.get_type_hints(cls)
+    return cls(**{key: _value(kinds[key], value, f"{what}.{key}")
+                  for key, value in data.items()})
 
 
 @dataclass(frozen=True)
@@ -81,10 +131,8 @@ class McConfig:
     window: int = 128
     seed: int = 12345
 
-    @classmethod
-    def from_dict(cls, data):
-        _reject_unknown(data, ("n_symbols", "oversample", "window", "seed"), "mc")
-        return cls(**_integers(data, "mc"))
+    def __post_init__(self):
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -92,11 +140,6 @@ class SweepConfig:
     """Frontier sweep resolution."""
 
     n_points: int = 101
-
-    @classmethod
-    def from_dict(cls, data):
-        _reject_unknown(data, ("n_points",), "sweep")
-        return cls(**_integers(data, "sweep"))
 
 
 @dataclass(frozen=True)
@@ -110,11 +153,6 @@ class OutputConfig:
         if self.format not in ("json", "csv"):
             raise ConfigError(f"output format must be json or csv, got {self.format!r}")
 
-    @classmethod
-    def from_dict(cls, data):
-        _reject_unknown(data, ("format", "path"), "output")
-        return cls(**data)
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -122,7 +160,7 @@ class RunConfig:
 
     channel: ChannelParams = ChannelParams()
     P_a: float = 1.0
-    targets: tuple = ()
+    targets: tuple[float, ...] = ()
     mc: McConfig = McConfig()
     sweep: SweepConfig = SweepConfig()
     output: OutputConfig = OutputConfig()
@@ -135,66 +173,42 @@ class RunConfig:
             raise ConfigError(f"targets must be finite, got {list(targets)!r}")
         object.__setattr__(self, "targets", targets)
 
-    @classmethod
-    def from_dict(cls, data):
-        _reject_unknown(
-            data, ("channel", "P_a", "targets", "mc", "sweep", "output"), "config")
-        return cls(
-            channel=ChannelParams.from_dict(data.get("channel", {})),
-            P_a=float(data.get("P_a", 1.0)),
-            targets=tuple(data.get("targets") or ()),
-            mc=McConfig.from_dict(data.get("mc", {})),
-            sweep=SweepConfig.from_dict(data.get("sweep", {})),
-            output=OutputConfig.from_dict(data.get("output", {})),
-        )
-
 
 def distribution_from_spec(data):
     """Input distribution from a JSON-style spec dict.
 
-    Kinds: gaussian_zero_mean {P_r, P_i}; gaussian {mu_r, mu_i, var_r, var_i};
-    qpsk {}; constellation {points: [[re, im], ...], probs optional}.
+    Kinds: gaussian_zero_mean {P_r, P_i}; gaussian {mu_r, mu_i, var_r, var_i}
+    (left-out fields are 0); qpsk {}; constellation {points: [[re, im], ...],
+    probs optional, equiprobable when left out or null}.
     """
     if not isinstance(data, dict) or "kind" not in data:
         raise ConfigError("distribution spec must be an object with a 'kind' key")
     kind = data["kind"]
     rest = {k: v for k, v in data.items() if k != "kind"}
-    if kind == "gaussian_zero_mean":
-        _reject_unknown(rest, ("P_r", "P_i"), "distribution")
-        return GaussianZeroMean(float(rest.get("P_r", 0.0)),
-                                float(rest.get("P_i", 0.0)))
-    if kind == "gaussian":
-        _reject_unknown(rest, ("mu_r", "mu_i", "var_r", "var_i"), "distribution")
-        return GaussianGeneral(
-            float(rest.get("mu_r", 0.0)), float(rest.get("mu_i", 0.0)),
-            float(rest.get("var_r", 0.0)), float(rest.get("var_i", 0.0)))
+    if kind in ("gaussian_zero_mean", "gaussian"):
+        cls = GaussianZeroMean if kind == "gaussian_zero_mean" else GaussianGeneral
+        zeros = {f.name: 0.0 for f in dataclasses.fields(cls)}
+        return from_json(cls, {**zeros, **rest}, "distribution")
     if kind == "qpsk":
         _reject_unknown(rest, (), "distribution")
         return FiniteConstellation.qpsk()
     if kind == "constellation":
-        _reject_unknown(rest, ("points", "probs"), "distribution")
-        try:
-            points = tuple(complex(float(p[0]), float(p[1])) for p in rest["points"])
-        except (KeyError, TypeError, IndexError):
-            raise ConfigError(
-                "constellation needs points as a list of [re, im] pairs") from None
-        probs = rest.get("probs")
-        if probs is None:
-            probs = (1.0 / len(points),) * len(points)
-        return FiniteConstellation(points, tuple(float(p) for p in probs))
+        return from_json(FiniteConstellation, rest, "distribution")
     raise ConfigError(f"unknown distribution kind {kind!r}")
 
 
-def _load_json_arg(text):
+def _load_json(text, what):
     """Parse an argument that is either inline JSON or a path to a JSON file."""
     stripped = text.strip()
-    if stripped.startswith("{") or stripped.startswith("["):
-        return json.loads(stripped)
     try:
+        if stripped.startswith(("{", "[")):
+            return json.loads(stripped)
         with open(text, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read {text!r}: {exc}") from exc
+        raise ConfigError(f"cannot read {what} {text!r}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} {text!r} is not valid JSON: {exc}") from exc
 
 
 def _emit(text, path):
@@ -234,7 +248,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--config", metavar="PATH", help="JSON config file")
+        p.add_argument("--config", metavar="JSON|PATH", help="JSON config")
         p.add_argument("--seed", type=int, help="override mc.seed")
         p.add_argument("--format", choices=("json", "csv"),
                        help="override output.format")
@@ -276,33 +290,29 @@ def build_parser():
     return parser
 
 
+# Each flag's place in the config document; a flag given overrides the file.
+_FLAG_PATHS = {
+    "seed": ("mc", "seed"),
+    "format": ("output", "format"),
+    "out": ("output", "path"),
+    "n_points": ("sweep", "n_points"),
+    "targets": ("targets",),
+}
+
+
 def _resolved_config(args):
-    data = {}
-    if args.config:
-        try:
-            with open(args.config, encoding="utf-8") as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {args.config!r} is not valid JSON: {exc}") from exc
-    config = RunConfig.from_dict(data)
-    if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError("seed must be a nonnegative 64-bit integer")
-        config = dataclasses.replace(
-            config, mc=dataclasses.replace(config.mc, seed=args.seed))
-    if args.format is not None:
-        config = dataclasses.replace(
-            config, output=dataclasses.replace(config.output, format=args.format))
-    if args.out is not None:
-        config = dataclasses.replace(
-            config, output=dataclasses.replace(config.output, path=args.out))
-    if getattr(args, "n_points", None) is not None:
-        config = dataclasses.replace(config, sweep=SweepConfig(args.n_points))
-    if getattr(args, "targets", None):
-        config = dataclasses.replace(config, targets=tuple(args.targets))
-    return config
+    data = _load_json(args.config, "config") if args.config else {}
+    for flag, (*sections, key) in _FLAG_PATHS.items():
+        value = getattr(args, flag, None)
+        if value is None:
+            continue
+        node = data
+        for section in sections:
+            # A section that is no object is left for from_json to reject.
+            node = node.setdefault(section, {}) if isinstance(node, dict) else None
+        if isinstance(node, dict):
+            node[key] = value
+    return from_json(RunConfig, data, "config")
 
 
 def cmd_series_verify(args, config):
@@ -329,9 +339,11 @@ def cmd_series_verify(args, config):
 
 def cmd_power_eval(args, config):
     if args.profile is not None:
-        profile = MomentProfile.from_dict(_load_json_arg(args.profile))
+        data = _load_json(args.profile, "profile")
+        profile = from_json(MomentProfile, data, "profile")
     else:
-        profile = profile_of(distribution_from_spec(_load_json_arg(args.dist)))
+        dist = distribution_from_spec(_load_json(args.dist, "distribution"))
+        profile = profile_of(dist)
     c = coeffs(config.channel)
     d = derived_moments(profile)
     report = {
@@ -356,7 +368,7 @@ def cmd_power_eval(args, config):
 
 def cmd_mc_validate(args, config):
     if args.dist is not None:
-        dist = distribution_from_spec(_load_json_arg(args.dist))
+        dist = distribution_from_spec(_load_json(args.dist, "distribution"))
     else:
         dist = GaussianZeroMean(0.5 * config.P_a, 0.5 * config.P_a)
     closed_form = closed_form_delivered_power(dist, config.channel)

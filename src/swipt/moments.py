@@ -83,16 +83,6 @@ class MomentProfile:
         return MomentProfile(self.mu_i, self.mu_r, self.P_i, self.P_r,
                              self.T_i, self.T_r, self.Q_i, self.Q_r)
 
-    @classmethod
-    def from_dict(cls, data):
-        unknown = sorted(set(data) - set(_FIELDS))
-        if unknown:
-            raise ValueError(f"unknown moment fields: {unknown}")
-        missing = sorted(set(_FIELDS) - set(data))
-        if missing:
-            raise ValueError(f"missing moment fields: {missing}")
-        return cls(**{name: float(data[name]) for name in _FIELDS})
-
 
 @dataclass(frozen=True)
 class DerivedMoments:

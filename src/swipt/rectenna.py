@@ -58,26 +58,6 @@ class ChannelParams:
         if not self.k4 >= 0.0:
             raise ValueError("k4 must be nonnegative")
 
-    @classmethod
-    def from_dict(cls, data):
-        known = ("h", "h_tilde", "sigma_w2", "f_w", "k2", "k4")
-        unknown = sorted(set(data) - set(known))
-        if unknown:
-            raise ValueError(f"unknown channel fields: {unknown}")
-        kwargs = dict(data)
-        for key in ("h", "h_tilde"):
-            if key in kwargs:
-                kwargs[key] = _complex_from(kwargs[key])
-        return cls(**kwargs)
-
-
-def _complex_from(value):
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
-    if isinstance(value, (int, float, complex)):
-        return complex(value)
-    raise ValueError(f"expected an [re, im] pair, got {value!r}")
-
 
 @dataclass(frozen=True)
 class RectennaCoeffs:

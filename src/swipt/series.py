@@ -95,7 +95,7 @@ def partial_sum(series_id, n_terms):
     rather than O(N^4).
     """
     _check_id(series_id)
-    n = int(n_terms)
+    n = _integer(n_terms, "n_terms")
     if n < 1:
         raise ValueError("n_terms must be >= 1")
     t0, t1, s0, s5 = _power_sums(n)
@@ -134,12 +134,20 @@ def evaluate(series_id, n_terms):
     """SeriesReport for one series at the given truncation."""
     value = partial_sum(series_id, n_terms)
     exact = analytic_value(series_id)
-    return SeriesReport(series_id, exact, value, int(n_terms), abs(exact - value))
+    return SeriesReport(series_id, exact, value, _integer(n_terms, "n_terms"),
+                        abs(exact - value))
 
 
 def verify(n_terms=1_000_000):
     """Reports for all nine series at a common truncation."""
     return [evaluate(sid, n_terms) for sid in SERIES_IDS]
+
+
+def _integer(value, name):
+    # Integral floats such as 2e5 are accepted; 2.9 is an error, not 2.
+    if isinstance(value, (float, np.floating)) and not value.is_integer():
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _check_id(series_id):

@@ -21,7 +21,7 @@ import numpy as np
 
 from .moments import MomentProfile, derived_moments, gaussian_profile
 from .rectenna import delivered_power
-from .series import s_coeff
+from .series import _integer, s_coeff
 
 __all__ = [
     "GaussianZeroMean",
@@ -82,13 +82,6 @@ def _substreams(seed, domain, n_blocks):
         yield gen
 
 
-def _integer(value, name):
-    # Integral floats such as 2e5 are accepted; 2.9 is an error, not 2.
-    if isinstance(value, (float, np.floating)) and not value.is_integer():
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 def _check_seed(seed):
     seed = _integer(seed, "seed")
     if not 0 <= seed < (1 << 64):
@@ -127,16 +120,18 @@ class GaussianGeneral:
 
 @dataclass(frozen=True)
 class FiniteConstellation:
-    """Discrete symbol set with probabilities summing to one."""
+    """Discrete symbol set with probabilities summing to one; probs None
+    means equiprobable."""
 
-    points: tuple
-    probs: tuple
+    points: tuple[complex, ...]
+    probs: tuple[float, ...] | None = None
 
     def __post_init__(self):
         pts = tuple(complex(p) for p in self.points)
-        pr = tuple(float(p) for p in self.probs)
         if not pts:
             raise ValueError("constellation must be nonempty")
+        pr = ((1.0 / len(pts),) * len(pts) if self.probs is None
+              else tuple(float(p) for p in self.probs))
         if len(pts) != len(pr):
             raise ValueError("points and probs must have the same length")
         if not all(math.isfinite(p.real) and math.isfinite(p.imag) for p in pts):
@@ -153,7 +148,7 @@ class FiniteConstellation:
         """Unit-power four-point constellation (+-1 +-1j)/sqrt(2), equiprobable."""
         r = 1.0 / math.sqrt(2.0)
         points = (complex(r, r), complex(r, -r), complex(-r, r), complex(-r, -r))
-        return FiniteConstellation(points, (0.25, 0.25, 0.25, 0.25))
+        return FiniteConstellation(points)
 
 
 def profile_of(dist):

@@ -19,6 +19,7 @@ import numpy as np
 
 from .moments import gaussian_profile
 from .rectenna import coeffs, delivered_power, delivered_power_gaussian_zero_mean
+from .series import _integer
 from .simulate import GaussianZeroMean
 
 __all__ = [
@@ -138,9 +139,9 @@ def rp_region(P_a, ch, n_points):
     delivered_power_gaussian_zero_mean, and then listed as RPPoints.  Rate
     is nondecreasing and power nonincreasing along the returned list.
     """
-    if not P_a > 0.0:
-        raise ValueError("P_a must be positive")
-    n_points = int(n_points)
+    if not (math.isfinite(P_a) and P_a > 0.0):
+        raise ValueError(f"P_a must be positive and finite, got {P_a!r}")
+    n_points = _integer(n_points, "n_points")
     if n_points < 2:
         raise ValueError("n_points must be >= 2")
     p_i = np.linspace(0.0, 0.5 * P_a, n_points)

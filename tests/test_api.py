@@ -1,8 +1,11 @@
 """Public surface: each module's __all__ names real objects, the only
 zero-mean Gaussian type is simulate.GaussianZeroMean (no PowerAllocation),
-and the bare package import stays free of numpy."""
+the JSON format is read by the CLI alone, and the bare package import stays
+free of numpy."""
 
+import ast
 import importlib
+import inspect
 import subprocess
 import sys
 
@@ -18,6 +21,22 @@ def test_all_names_resolve(name):
     for attr in module.__all__:
         assert hasattr(module, attr), f"swipt.{name}.{attr}"
     assert "PowerAllocation" not in module.__all__
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_json_is_read_by_the_cli_alone(name):
+    """No record parses itself from a dict, and only swipt.cli imports json."""
+    module = importlib.import_module(f"swipt.{name}")
+    for attr, obj in vars(module).items():
+        if inspect.isclass(obj) and obj.__module__ == module.__name__:
+            assert not hasattr(obj, "from_dict"), f"swipt.{name}.{attr}"
+    imported = set()
+    for node in ast.walk(ast.parse(inspect.getsource(module))):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+    assert ("json" in imported) == (name == "cli")
 
 
 def test_package_import_is_numpy_free():

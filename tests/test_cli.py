@@ -2,14 +2,29 @@
 formats, and exit codes.  Everything runs in-process through main(argv),
 except the import check, which needs a fresh interpreter."""
 
+import contextlib
 import dataclasses
+import io
 import json
+import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from swipt.cli import RunConfig, distribution_from_spec, main
+from swipt.cli import (
+    McConfig,
+    OutputConfig,
+    RunConfig,
+    SweepConfig,
+    distribution_from_spec,
+    from_json,
+    main,
+)
+from swipt.moments import MomentProfile, gaussian_profile
+from swipt.rectenna import ChannelParams, delivered_power
 from swipt.series import SERIES_IDS
 from swipt.simulate import (
     ESTIMATORS,
@@ -41,10 +56,13 @@ class TestDistributionSpec:
         dist = distribution_from_spec(spec)
         assert dist.probs == (0.5, 0.5)
         assert dist.points == (1.0 + 0j, -1.0 + 0j)
+        assert distribution_from_spec({**spec, "probs": None}) == dist
+        assert distribution_from_spec({**spec, "points": [1, -1]}) == dist
 
     def test_unknown_kind_and_keys_rejected(self):
-        with pytest.raises(ValueError, match="kind"):
-            distribution_from_spec({"kind": "laplace"})
+        for kind in ("laplace", ["qpsk"]):
+            with pytest.raises(ValueError, match="kind"):
+                distribution_from_spec({"kind": kind})
         with pytest.raises(ValueError, match="unknown"):
             distribution_from_spec({"kind": "qpsk", "power": 2.0})
 
@@ -252,7 +270,7 @@ class TestConfigHandling:
         for key in ("h", "h_tilde"):
             channel[key] = [channel[key].real, channel[key].imag]
         assert out == {**defaults, "targets": list(defaults["targets"])}
-        assert RunConfig.from_dict(out) == RunConfig()
+        assert from_json(RunConfig, out, "config") == RunConfig()
 
     def test_flag_overrides_config_seed(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"mc": {"seed": 5}})
@@ -340,6 +358,120 @@ class TestConfigHandling:
         main(["power-eval", "--config", cfg, "--dist", SYM_DIST])
         out = json.loads(capsys.readouterr().out)
         assert out["alpha"] == pytest.approx(16 * 14.35875, rel=1e-12)
+
+
+PROFILE = {"mu_r": 0.0, "mu_i": 0.0, "P_r": 1.0, "P_i": 1.0,
+           "T_r": 0.0, "T_i": 0.0, "Q_r": 3.0, "Q_i": 3.0}
+POINTS = [[1.0, 0.0], [-1.0, 0.0]]
+
+
+@pytest.mark.parametrize("flag, document, field", [
+    ("--config", {"channel": {"sigma_w2": "x"}}, "config.channel.sigma_w2"),
+    ("--config", {"channel": {"k2": None}}, "config.channel.k2"),
+    ("--config", {"channel": []}, "config.channel"),
+    ("--config", {"P_a": [1]}, "config.P_a"),
+    ("--config", {"mc": None}, "config.mc"),
+    ("--config", {"mc": {"seed": [1]}}, "config.mc.seed"),
+    ("--config", {"mc": {"seed": True}}, "config.mc.seed"),
+    ("--config", {"mc": {"seed": -1}}, "seed"),
+    ("--config", {"targets": 70}, "config.targets"),
+    ("--config", {"output": {"path": 3}}, "config.output.path"),
+    ("--config", [1, 2], "config"),
+    ("--profile", {**PROFILE, "mu_r": [1]}, "profile.mu_r"),
+    ("--dist", {"kind": "constellation", "points": POINTS, "probs": 5},
+     "distribution.probs"),
+])
+def test_malformed_input_is_a_config_error(tmp_path, capsys, flag, document, field):
+    """Each malformed value exits 2 with one line naming its field, not a
+    traceback."""
+    command = "region" if flag == "--config" else "power-eval"
+    code = main([command, flag, write_config(tmp_path, document)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert field in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_integer_output_path_writes_to_no_descriptor(tmp_path, capsys):
+    read_end, write_end = os.pipe()
+    cfg = write_config(tmp_path, {"output": {"path": write_end}})
+    code = main(["region", "--config", cfg, "--n-points", "3"])
+    os.close(write_end)  # raises if main wrote to the descriptor and closed it
+    with os.fdopen(read_end, "rb") as pipe:
+        assert pipe.read() == b""
+    assert code == 2
+    assert "config.output.path must be a string" in capsys.readouterr().err
+
+
+def _run_main(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    assert code == 0
+    return out.getvalue()
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+NONNEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
+GAINS = FINITE | st.complex_numbers(allow_nan=False, allow_infinity=False)
+# Where each single-valued flag lands in the config document.
+FLAG_FIELDS = {"--seed": ("mc", "seed"), "--format": ("output", "format"),
+               "--out": ("output", "path"), "--n-points": ("sweep", "n_points")}
+
+
+def run_configs(path):
+    return st.builds(
+        RunConfig,
+        channel=st.builds(ChannelParams, h=GAINS, h_tilde=GAINS, sigma_w2=POSITIVE,
+                          f_w=POSITIVE, k2=NONNEGATIVE, k4=NONNEGATIVE),
+        P_a=POSITIVE,
+        targets=st.lists(FINITE, max_size=3).map(tuple),
+        mc=st.builds(McConfig, n_symbols=st.integers(), oversample=st.integers(),
+                     window=st.integers(), seed=st.integers(0, 2**64 - 1)),
+        sweep=st.builds(SweepConfig, n_points=st.integers()),
+        output=st.builds(OutputConfig, format=st.sampled_from(["json", "csv"]),
+                         path=st.none() | st.just(path)))
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_dump_config_reads_back_as_the_config(tmp_path_factory, data):
+    """Any valid config, given partly as inline JSON and partly as flags,
+    is dumped in a form from_json reads back to the same config."""
+    dump_path = str(tmp_path_factory.mktemp("dump") / "config.json")
+    config = data.draw(run_configs(dump_path))
+    document = json.loads(json.dumps(dataclasses.asdict(config),
+                                     default=lambda z: [z.real, z.imag]))
+    argv = ["region", "--dump-config"]
+    for flag in data.draw(st.sets(st.sampled_from(list(FLAG_FIELDS)))):
+        section, key = FLAG_FIELDS[flag]
+        value = document[section].pop(key)
+        if value is not None:
+            argv.append(f"{flag}={value}")
+    if data.draw(st.booleans()):
+        argv += [f"--target={t}" for t in document.pop("targets")]
+    out = _run_main([*argv, "--config", json.dumps(document)])
+    if config.output.path is not None:
+        assert out == ""
+        with open(config.output.path, encoding="utf-8") as fh:
+            out = fh.read()
+    assert from_json(RunConfig, json.loads(out), "config") == config
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(mu_r=st.floats(-1e3, 1e3), mu_i=st.floats(-1e3, 1e3),
+       var_r=st.floats(0.0, 1e3), var_i=st.floats(0.0, 1e3))
+def test_gaussian_profiles_read_back(mu_r, mu_i, var_r, var_i):
+    """A Gaussian moment profile written as JSON reads back unchanged, and
+    power-eval --profile evaluates exactly that profile."""
+    profile = gaussian_profile(mu_r, mu_i, var_r, var_i)
+    text = json.dumps(dataclasses.asdict(profile))
+    assert from_json(MomentProfile, json.loads(text), "profile") == profile
+    out = json.loads(_run_main(["power-eval", "--profile", text]))
+    assert out["P_del"] == delivered_power(profile, ChannelParams())
 
 
 def test_import_leaves_scipy_unloaded():

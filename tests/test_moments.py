@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from swipt.cli import from_json
 from swipt.moments import (
     MomentProfile,
     derived_moments,
@@ -31,7 +32,7 @@ QPSK_PROFILE = MomentProfile(0.0, 0.0, 0.5, 0.5, 0.0, 0.0, 0.25, 0.25)
 class TestProfileValidation:
     def test_valid_profile_roundtrip(self):
         p = gaussian_profile(0.5, -0.2, 1.0, 0.3)
-        again = MomentProfile.from_dict(dataclasses.asdict(p))
+        again = from_json(MomentProfile, dataclasses.asdict(p), "profile")
         assert again == p
 
     def test_variance_violation(self):
@@ -59,11 +60,12 @@ class TestProfileValidation:
 
     def test_from_dict_rejects_unknown_and_missing(self):
         with pytest.raises(ValueError, match="unknown"):
-            MomentProfile.from_dict({**dataclasses.asdict(QPSK_PROFILE), "extra": 1.0})
+            from_json(MomentProfile, {**dataclasses.asdict(QPSK_PROFILE), "extra": 1.0},
+                      "profile")
         bad = dataclasses.asdict(QPSK_PROFILE)
         del bad["Q_i"]
         with pytest.raises(ValueError, match="missing"):
-            MomentProfile.from_dict(bad)
+            from_json(MomentProfile, bad, "profile")
 
     def test_third_moment_beyond_hankel_bound(self):
         # P*Q < T^2: accepted by the variance and Jensen checks alone, and
@@ -87,7 +89,7 @@ class TestProfileValidation:
         for dist in (FiniteConstellation.qpsk(), bpsk):
             profiles.append(empirical_profile(draw_symbols(dist, 10_000, 3)))
         for p in profiles:
-            assert MomentProfile.from_dict(dataclasses.asdict(p)) == p
+            assert from_json(MomentProfile, dataclasses.asdict(p), "profile") == p
 
     def test_swapped(self):
         p = gaussian_profile(0.5, -0.2, 1.0, 0.3)

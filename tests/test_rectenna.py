@@ -9,6 +9,7 @@ import math
 
 import pytest
 
+from swipt.cli import from_json
 from swipt.moments import MomentProfile, gaussian_profile
 from swipt.rectenna import (
     ChannelParams,
@@ -27,7 +28,7 @@ class TestChannelParams:
     def test_roundtrip(self):
         ch = ChannelParams(h=0.5 - 0.25j, h_tilde=1.0j, sigma_w2=0.01,
                            f_w=2.0, k2=0.1, k4=5.0)
-        assert ChannelParams.from_dict(dataclasses.asdict(ch)) == ch
+        assert from_json(ChannelParams, dataclasses.asdict(ch), "channel") == ch
 
     def test_scalar_h_promotes_to_complex(self):
         ch = ChannelParams(h=2, h_tilde=0, sigma_w2=0.01, f_w=1.0,
@@ -63,7 +64,7 @@ class TestChannelParams:
         data = dataclasses.asdict(reference_channel())
         data["gain"] = 3.0
         with pytest.raises(ValueError, match="unknown"):
-            ChannelParams.from_dict(data)
+            from_json(ChannelParams, data, "channel")
 
 
 class TestCoeffs:

@@ -15,7 +15,7 @@ import pytest
 
 from swipt.moments import gaussian_profile, q_tilde
 from swipt.rectenna import ChannelParams
-from swipt.series import partial_sum
+from swipt.series import evaluate, partial_sum
 from swipt.simulate import (
     ESTIMATORS,
     FiniteConstellation,
@@ -41,6 +41,8 @@ from swipt.simulate import (
     _substreams,
     _upsample,
 )
+
+from swipt.tradeoff import rp_region
 
 from oracles import draw_per_block
 
@@ -138,7 +140,8 @@ class TestDrawSymbols:
 
 class TestIntegralArguments:
     """Sizes and seeds that int() would truncate are errors; integral floats
-    such as 2e3 are accepted and mean the same as the integer."""
+    such as 2e3 are accepted and mean the same as the integer.  The series
+    truncation and the frontier's point count follow the same rule."""
 
     DIST = GaussianZeroMean(0.5, 0.5)
 
@@ -157,6 +160,9 @@ class TestIntegralArguments:
         lambda d: mc_even_fourth_moment(d, CH, 5000.5, SEED),
         lambda d: half_sample_value(np.ones(10, dtype=complex), 5.5, 3),
         lambda d: half_sample_value(np.ones(10, dtype=complex), 5, 3.5),
+        lambda d: partial_sum("T0", 2.9),
+        lambda d: evaluate("T0", 2.9),
+        lambda d: rp_region(1.0, CH, 2.9),
     ])
     def test_non_integral_rejected(self, call):
         with pytest.raises(ValueError, match="must be an integer"):
@@ -168,6 +174,8 @@ class TestIntegralArguments:
         assert (mc_delivered_power(d, CH, 2e3, 4.0, float(SEED), window=16.0)
                 == mc_delivered_power(d, CH, 2000, 4, SEED, window=16))
         assert mc_q_tilde(d, 2e2, 16.0, SEED) == mc_q_tilde(d, 200, 16, SEED)
+        assert evaluate("T0", 2e2) == evaluate("T0", 200)
+        assert rp_region(1.0, CH, 3.0) == rp_region(1.0, CH, 3)
 
 
 class TestStreamLayout:

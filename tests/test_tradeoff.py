@@ -143,6 +143,9 @@ class TestRegion:
             rp_region(1.0, CH, 1)
         with pytest.raises(ValueError):
             rp_region(-1.0, CH, 5)
+        for budget in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="P_a must be positive and finite"):
+                rp_region(budget, CH, 3)
 
     def test_endpoints(self):
         pts = rp_region(1.0, CH, 11)
