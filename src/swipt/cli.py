@@ -122,6 +122,23 @@ def from_json(cls, data, what):
                   for key, value in data.items()})
 
 
+# Largest accepted sizes, checked before anything is allocated.  Each keeps
+# the largest run near 2 GB of peak memory at its measured cost per unit:
+# 40 B per series term, 1.7 kB per JSON sweep point, 128 B per Monte-Carlo
+# symbol, and 49 B per unit of window on top of that.  Memory does not grow
+# with oversample, but time does, linearly.
+_MAX_N_TERMS = 50_000_000
+_MAX_N_POINTS = 1_000_000
+_MAX_N_SYMBOLS = 15_000_000
+_MAX_WINDOW = 5_000_000
+_MAX_OVERSAMPLE = 1024
+
+
+def _at_most(value, limit, name):
+    if value > limit:
+        raise ConfigError(f"{name} must be at most {limit}, got {value}")
+
+
 @dataclass(frozen=True)
 class McConfig:
     """Monte-Carlo run sizing and seeding."""
@@ -133,6 +150,9 @@ class McConfig:
 
     def __post_init__(self):
         _check_seed(self.seed)
+        _at_most(self.n_symbols, _MAX_N_SYMBOLS, "mc.n_symbols")
+        _at_most(self.oversample, _MAX_OVERSAMPLE, "mc.oversample")
+        _at_most(self.window, _MAX_WINDOW, "mc.window")
 
 
 @dataclass(frozen=True)
@@ -140,6 +160,9 @@ class SweepConfig:
     """Frontier sweep resolution."""
 
     n_points: int = 101
+
+    def __post_init__(self):
+        _at_most(self.n_points, _MAX_N_POINTS, "sweep.n_points")
 
 
 @dataclass(frozen=True)
@@ -216,9 +239,12 @@ def _emit(text, path):
         text += "\n"
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {path!r}: {exc.strerror}") from exc
 
 
 def _complex_pair(value):
@@ -316,6 +342,7 @@ def _resolved_config(args):
 
 
 def cmd_series_verify(args, config):
+    _at_most(args.n_terms, _MAX_N_TERMS, "n_terms")
     reports = verify_series(args.n_terms)
     failed = [r.id for r in reports if r.abs_error > args.tol]
     if config.output.format == "csv":

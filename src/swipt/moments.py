@@ -14,15 +14,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = [
     "MomentProfile",
     "DerivedMoments",
     "q_tilde",
     "derived_moments",
     "gaussian_profile",
-    "empirical_profile",
 ]
 
 _FIELDS = ("mu_r", "mu_i", "P_r", "P_i", "T_r", "T_i", "Q_r", "Q_i")
@@ -77,11 +74,6 @@ class MomentProfile:
                 raise ValueError(
                     f"moment violation: Hankel determinant in dimension {dim} "
                     f"is negative ({det})")
-
-    def swapped(self):
-        """The same input with real and imaginary dimensions exchanged."""
-        return MomentProfile(self.mu_i, self.mu_r, self.P_i, self.P_r,
-                             self.T_i, self.T_r, self.Q_i, self.Q_r)
 
 
 @dataclass(frozen=True)
@@ -140,20 +132,4 @@ def gaussian_profile(mu_r, mu_i, var_r, var_i):
 
     p_r, t_r, q_r = one_dim(mu_r, var_r)
     p_i, t_i, q_i = one_dim(mu_i, var_i)
-    return MomentProfile(mu_r, mu_i, p_r, p_i, t_r, t_i, q_r, q_i)
-
-
-def empirical_profile(samples):
-    """Plain sample moments of the real and imaginary parts.
-
-    No bias correction: at the sample sizes used here the difference is
-    negligible and the estimator definition stays transparent.
-    """
-    arr = np.asarray(samples, dtype=complex).ravel()
-    if arr.size < 2:
-        raise ValueError("need at least 2 samples")
-    moments = []
-    for part in (arr.real, arr.imag):
-        moments.append([float(np.mean(part**p)) for p in (1, 2, 3, 4)])
-    (mu_r, p_r, t_r, q_r), (mu_i, p_i, t_i, q_i) = moments
     return MomentProfile(mu_r, mu_i, p_r, p_i, t_r, t_i, q_r, q_i)

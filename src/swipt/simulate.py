@@ -31,7 +31,6 @@ __all__ = [
     "ESTIMATORS",
     "profile_of",
     "draw_symbols",
-    "half_sample_value",
     "mc_q_tilde",
     "mc_delivered_power",
     "mc_even_fourth_moment",
@@ -225,25 +224,6 @@ def _kernel_spectrum(window, size):
     return spectrum
 
 
-def half_sample_value(symbols, k, window):
-    """Mid-sample value X((k+1/2)/f_w) from the symbols with |n - k| <= window.
-
-    The exact interpolation needs every symbol; the truncated mixture uses
-    2*window+1 symbols around k, and k too close to the array edge is
-    rejected rather than silently zero-padded.
-    """
-    symbols = np.asarray(symbols)
-    window = _integer(window, "window")
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    k = _integer(k, "k")
-    if k - window < 0 or k + window >= symbols.size:
-        raise ValueError("k too close to the symbol-array edge for this window")
-    segment = symbols[k - window:k + window + 1]
-    # X~_k = sum_j X_{k+j} s_{-j}: the reversed kernel against the segment.
-    return complex(np.dot(segment, _kernel(window)[::-1]))
-
-
 def _half_samples(symbols, window):
     # Truncated mid-sample interpolation at every index; entries within
     # `window` of either edge see zero-padding and must be discarded by the
@@ -258,31 +238,6 @@ def _half_samples(symbols, window):
         dest[:] = np.fft.irfft(np.fft.rfft(part, size) * kern_spectrum,
                                size)[window:window + n]
     return out
-
-
-def _pad_spectrum(spectrum, num):
-    # The spectrum of an even-length sequence zero-padded to num >= its length
-    # and scaled by num / length while it is copied, ready for the inverse
-    # FFT.  On a longer grid the unpaired Nyquist bin is split in half between
-    # +/- the old Nyquist frequency; it is halved in `spectrum` itself.
-    size = spectrum.size
-    half = size // 2
-    if num > size:
-        spectrum[half] /= 2
-    scale = size / num
-    padded = np.zeros(num, dtype=complex)
-    np.divide(spectrum[:half + 1], scale, out=padded[:half + 1])
-    np.divide(spectrum[half + 1:], scale, out=padded[num - half + 1:])
-    if num > size:
-        padded[num - half] = padded[half]
-    return padded
-
-
-def _upsample(x, num):
-    # Band-limited interpolation of an even-length sequence onto num >= x.size
-    # points by zero-padding its spectrum; x is left unchanged.
-    padded = _pad_spectrum(np.fft.fft(x), num)
-    return np.fft.ifft(padded, out=padded)
 
 
 @dataclass(frozen=True)
@@ -332,17 +287,47 @@ def _integrand(y, ch):
     return 2.0 * ch.k2 * power + 1.5 * ch.k4 * power * power
 
 
-def _integrand_means(y, ch, row_len, f_w=1.0):
-    # Row means of _integrand(y) / f_w with y cut into rows of row_len.  The
+def _integrand_means(y, ch, row_len):
+    # Row means of _integrand(y) with y cut into rows of row_len.  The
     # rows are evaluated _CHUNK_ROWS at a time, so no temporary as long as y
     # is built, and each row sees the same operations in the same order as a
     # whole-array evaluation: the means are bit-identical to it.
     n_rows = y.size // row_len
     means = np.empty(n_rows)
     for row in range(0, n_rows, _CHUNK_ROWS):
-        values = _integrand(y[row * row_len:(row + _CHUNK_ROWS) * row_len], ch) / f_w
+        values = _integrand(y[row * row_len:(row + _CHUNK_ROWS) * row_len], ch)
         values.reshape(-1, row_len).mean(axis=1, out=means[row:row + _CHUNK_ROWS])
     return means
+
+
+def _phase_block_sums(spectrum, ch, oversample, lo, hi, block_len):
+    # Sum over phases p = 0, 1, ... of the integrand's block means on symbols
+    # [lo, hi), phase p being the periodic band-limited interpolant of the
+    # 2n-point sequence whose DFT X is `spectrum`, sampled at m/n + p/L with
+    # L = n*oversample (fine-grid point m*oversample + p).  With the Nyquist
+    # bin split evenly between k = +-n,
+    #   y(m/n + p/L) = (1/2n) sum_{|k|<=n} X_k e^{2 pi i k p/L} e^{2 pi i k m/n},
+    # so folding k modulo n leaves one length-n inverse FFT per phase: bin j
+    # collects X_j (k = j) and X_{n+j} (k = j - n), both turned by
+    # e^{2 pi i j p/L}, the second also by e^{-2 pi i p/oversample}.
+    # `spectrum` is halved in place.
+    n = spectrum.size // 2
+    spectrum *= 0.5  # exact; with the inverse FFT's 1/n it gives the 1/2n
+    low, high = spectrum[:n], spectrum[n:]
+    step = np.exp(2j * math.pi / (n * oversample) * np.arange(n))
+    twiddle = np.ones(n, dtype=complex)  # e^{2 pi i j p/L}, one step per phase
+    folded = np.empty(n, dtype=complex)
+    sums = np.zeros((hi - lo) // block_len)
+    for p in range(oversample):
+        turn = 2.0 * math.pi * p / oversample
+        np.multiply(high, complex(math.cos(turn), -math.sin(turn)), out=folded)
+        folded += low
+        folded *= twiddle
+        # both halves of the Nyquist bin, k = +-n, fold onto j = 0
+        folded[0] = low[0] + high[0] * math.cos(turn)
+        sums += _integrand_means(np.fft.ifft(folded, out=folded)[lo:hi], ch, block_len)
+        twiddle *= step
+    return sums
 
 
 def _blocking(interior):
@@ -387,11 +372,13 @@ def mc_delivered_power(dist, ch, n_symbols, oversample, seed,
     sinc truncation and the periodic wrap of the interpolation never touch
     them.  The standard error comes from means over 1000-symbol blocks.
 
-    Memory: the oversampled estimator peaks at one n*oversample complex grid
-    (16*n*oversample bytes) plus the FFT's scratch; the symbols, mid-samples
-    and both phase sequences are released before the grid's inverse FFT, and
-    the integrand is reduced a few blocks at a time.  The half-rate estimator
-    holds a few length-n arrays.
+    Memory: the oversampled estimator never builds its n*oversample grid.
+    It takes one inverse FFT of length n per output phase and reduces each
+    phase into the block means, so it peaks at about 6 length-n complex
+    arrays (16*n bytes each) plus one length-n FFT's scratch, independent of
+    `oversample`; its time is linear in `oversample`.  The integrand is
+    reduced a few blocks at a time.  The half-rate estimator holds a few
+    length-n arrays.
     """
     n = _integer(n_symbols, "n_symbols")
     if n < 1000:
@@ -431,13 +418,9 @@ def mc_delivered_power(dist, ch, n_symbols, oversample, seed,
         interleaved[0::2] = y_even
         interleaved[1::2] = y_mid
         del y_even, y_mid
-        # the forward FFT overwrites the interleaved buffer, which is then
-        # dropped: the padded grid is the only large array at the inverse FFT
-        padded = _pad_spectrum(np.fft.fft(interleaved, out=interleaved), n * oversample)
-        del interleaved
-        fine = np.fft.ifft(padded, out=padded)
-        block_means = _integrand_means(fine[lo * oversample:hi * oversample], ch,
-                                       block_len * oversample, ch.f_w)
+        block_means = _phase_block_sums(np.fft.fft(interleaved, out=interleaved),
+                                        ch, oversample, lo, hi, block_len)
+        block_means /= oversample * ch.f_w
         n_used = n_blocks * block_len * oversample
 
     mean = float(block_means.mean())

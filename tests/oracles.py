@@ -5,21 +5,42 @@ derived route to a quantity the package computes in closed form.
 
 * brute_force_double_sum — direct enumeration of the distinct-index series;
 * q_tilde_intermediate — the mid-sample fourth moment via pseudo-moments;
+* empirical_profile, swapped — sample moments of drawn symbols, and a
+  profile with its real and imaginary dimensions exchanged;
 * bisection_allocation — the tradeoff split by bisection on the power residual;
 * kkt_check_nnls — the first-order certificate with its multipliers fitted
   by nonnegative least squares (SciPy);
 * draw_per_block — the symbol and noise streams drawn block by block, each
-  block from its own freshly built substream generator.
+  block from its own freshly built substream generator;
+* half_sample_value — one mid-sample value as a direct dot product of the
+  symbols with the truncated sinc kernel;
+* upsample, mc_oversampled_single_grid — the oversampled Monte-Carlo
+  estimator on its whole n*oversample grid, built by one inverse FFT of the
+  zero-padded spectrum (a numpy copy of SciPy's even-length `resample`).
 """
 
 import math
 
 import numpy as np
 
-from swipt.moments import derived_moments, gaussian_profile
+from swipt.moments import MomentProfile, derived_moments, gaussian_profile
 from swipt.rectenna import coeffs, delivered_power, delivered_power_gaussian_zero_mean
-from swipt.series import SERIES_IDS, s_coeff
-from swipt.simulate import FiniteConstellation, GaussianGeneral, GaussianZeroMean, _substream
+from swipt.series import SERIES_IDS, _integer, s_coeff
+from swipt.simulate import (
+    _DOM_NOISE_EVEN,
+    _DOM_NOISE_ODD,
+    FiniteConstellation,
+    GaussianGeneral,
+    GaussianZeroMean,
+    McEstimate,
+    _blocking,
+    _draw_noise,
+    _half_samples,
+    _integrand,
+    _kernel,
+    _substream,
+    draw_symbols,
+)
 from swipt.tradeoff import Infeasible, KktReport, pdc_max, pdc_min
 
 _PAIR_IDS = ("S1", "S3", "S6")
@@ -115,6 +136,27 @@ def q_tilde_intermediate(profile):
     pseudo = abs(d.P_bar) ** 2 - (d.P_bar * mu_c * mu_c).real
     third = (d.T_bar * mu_c).real
     return (d.Q + 4.0 * d.P * (d.P - mu2) + 2.0 * pseudo + 2.0 * third) / 3.0
+
+
+def empirical_profile(samples):
+    """Plain sample moments of the real and imaginary parts.
+
+    No bias correction: at the sample sizes used here the difference is
+    negligible and the estimator definition stays transparent.
+    """
+    arr = np.asarray(samples, dtype=complex).ravel()
+    if arr.size < 2:
+        raise ValueError("need at least 2 samples")
+    moments = []
+    for part in (arr.real, arr.imag):
+        moments.append([float(np.mean(part**p)) for p in (1, 2, 3, 4)])
+    (mu_r, p_r, t_r, q_r), (mu_i, p_i, t_i, q_i) = moments
+    return MomentProfile(mu_r, mu_i, p_r, p_i, t_r, t_i, q_r, q_i)
+
+
+def swapped(p):
+    """The same input with real and imaginary dimensions exchanged."""
+    return MomentProfile(p.mu_i, p.mu_r, p.P_i, p.P_r, p.T_i, p.T_r, p.Q_i, p.Q_r)
 
 
 def bisection_allocation(P_a, P_d, ch, tol=1e-9):
@@ -251,3 +293,70 @@ def draw_per_block(dist, n, seed, domain, block=1000):
         gen = _substream(seed, domain, start // block)
         out[start:start + count] = _draw_block(dist, block, gen)[:count]
     return out
+
+
+def half_sample_value(symbols, k, window):
+    """Mid-sample value X((k+1/2)/f_w) from the symbols with |n - k| <= window.
+
+    The exact interpolation needs every symbol; the truncated mixture uses
+    2*window+1 symbols around k, and k too close to the array edge is
+    rejected rather than silently zero-padded.
+    """
+    symbols = np.asarray(symbols)
+    window = _integer(window, "window")
+    if window < 1:
+        raise ValueError("window must be >= 1")
+    k = _integer(k, "k")
+    if k - window < 0 or k + window >= symbols.size:
+        raise ValueError("k too close to the symbol-array edge for this window")
+    segment = symbols[k - window:k + window + 1]
+    # X~_k = sum_j X_{k+j} s_{-j}: the reversed kernel against the segment.
+    return complex(np.dot(segment, _kernel(window)[::-1]))
+
+
+def _pad_spectrum(spectrum, num):
+    # The spectrum of an even-length sequence zero-padded to num >= its length
+    # and scaled by num / length while it is copied, ready for the inverse
+    # FFT.  On a longer grid the unpaired Nyquist bin is split in half between
+    # +/- the old Nyquist frequency; it is halved in `spectrum` itself.
+    size = spectrum.size
+    half = size // 2
+    if num > size:
+        spectrum[half] /= 2
+    scale = size / num
+    padded = np.zeros(num, dtype=complex)
+    np.divide(spectrum[:half + 1], scale, out=padded[:half + 1])
+    np.divide(spectrum[half + 1:], scale, out=padded[num - half + 1:])
+    if num > size:
+        padded[num - half] = padded[half]
+    return padded
+
+
+def upsample(x, num):
+    """Band-limited interpolation of an even-length sequence onto num >= x.size
+    points by zero-padding its spectrum; x is left unchanged."""
+    padded = _pad_spectrum(np.fft.fft(x), num)
+    return np.fft.ifft(padded, out=padded)
+
+
+def mc_oversampled_single_grid(dist, ch, n_symbols, oversample, seed, window=128):
+    """simulate.mc_delivered_power(..., estimator="oversampled") with the
+    whole fine grid built: the interleaved 2n-point sequence upsampled onto
+    n*oversample points and reduced over blocks of block_len*oversample."""
+    n = n_symbols
+    lo, hi = window, n - window
+    symbols = draw_symbols(dist, n, seed)
+    # `mid` stays named: numpy multiplies an unnamed temporary in place, and
+    # that rounds some complex products differently.
+    mid = _half_samples(symbols, window)
+    interleaved = np.empty(2 * n, dtype=complex)
+    interleaved[0::2] = ch.h * symbols + _draw_noise(n, ch.sigma_w2, seed, _DOM_NOISE_EVEN)
+    interleaved[1::2] = ch.h_tilde * mid + _draw_noise(n, ch.sigma_w2, seed, _DOM_NOISE_ODD)
+    block_len, n_blocks = _blocking(hi - lo)
+    hi = lo + n_blocks * block_len
+    fine = upsample(interleaved, n * oversample)
+    values = _integrand(fine[lo * oversample:hi * oversample], ch) / ch.f_w
+    block_means = values.reshape(n_blocks, block_len * oversample).mean(axis=1)
+    mean = float(block_means.mean())
+    std_error = float(block_means.std(ddof=1) / math.sqrt(n_blocks))
+    return McEstimate(mean, std_error, n_blocks * block_len * oversample, seed)

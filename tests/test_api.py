@@ -1,7 +1,7 @@
 """Public surface: each module's __all__ names real objects, the only
 zero-mean Gaussian type is simulate.GaussianZeroMean (no PowerAllocation),
-the JSON format is read by the CLI alone, and the bare package import stays
-free of numpy."""
+test oracles live in tests/, the JSON format is read by the CLI alone, and
+the bare package import stays free of numpy."""
 
 import ast
 import importlib
@@ -10,6 +10,8 @@ import subprocess
 import sys
 
 import pytest
+
+from swipt.moments import MomentProfile
 
 MODULES = ("series", "moments", "rectenna", "simulate", "tradeoff", "cli")
 
@@ -21,6 +23,15 @@ def test_all_names_resolve(name):
     for attr in module.__all__:
         assert hasattr(module, attr), f"swipt.{name}.{attr}"
     assert "PowerAllocation" not in module.__all__
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_oracles_live_in_tests(name):
+    """Code only tests use lives in tests/oracles.py, not in the package."""
+    module = importlib.import_module(f"swipt.{name}")
+    for attr in ("half_sample_value", "_pad_spectrum", "_upsample", "empirical_profile"):
+        assert not hasattr(module, attr), f"swipt.{name}.{attr}"
+    assert not hasattr(MomentProfile, "swapped")
 
 
 @pytest.mark.parametrize("name", MODULES)

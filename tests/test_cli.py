@@ -9,12 +9,18 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swipt.cli import (
+    _MAX_N_POINTS,
+    _MAX_N_SYMBOLS,
+    _MAX_N_TERMS,
+    _MAX_OVERSAMPLE,
+    _MAX_WINDOW,
     McConfig,
     OutputConfig,
     RunConfig,
@@ -405,6 +411,60 @@ def test_integer_output_path_writes_to_no_descriptor(tmp_path, capsys):
     assert "config.output.path must be a string" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where", ["missing_dir", "empty", "directory"])
+def test_unwritable_output_path_is_a_config_error(tmp_path, capsys, where):
+    path = {"missing_dir": str(tmp_path / "missing" / "x.json"), "empty": "",
+            "directory": str(tmp_path)}[where]
+    code = main(["region", "--n-points", "3", f"--out={path}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write output ")
+    assert repr(path) in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["series-verify", f"--n-terms={_MAX_N_TERMS + 1}"], "n_terms"),
+    (["region", f"--n-points={_MAX_N_POINTS + 1}"], "sweep.n_points"),
+    (["region", "--config", json.dumps({"sweep": {"n_points": _MAX_N_POINTS + 1}})],
+     "sweep.n_points"),
+    (["mc-validate", "--config", json.dumps({"mc": {"n_symbols": _MAX_N_SYMBOLS + 1}})],
+     "mc.n_symbols"),
+    (["mc-validate", "--config", json.dumps({"mc": {"window": _MAX_WINDOW + 1}})],
+     "mc.window"),
+    (["mc-validate", "--config", json.dumps({"mc": {"oversample": _MAX_OVERSAMPLE + 1}})],
+     "mc.oversample"),
+])
+def test_sizes_above_their_bound_are_rejected_before_allocating(capsys, argv, field):
+    """Each size just above its documented bound exits 2 naming its field,
+    with no more than 1 MB traced while doing so."""
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"error: {field} must be at most ")
+    assert peak < 1 << 20
+
+
+def test_sizes_at_their_bound_are_accepted():
+    document = {"mc": {"n_symbols": _MAX_N_SYMBOLS, "oversample": _MAX_OVERSAMPLE,
+                       "window": _MAX_WINDOW},
+                "sweep": {"n_points": _MAX_N_POINTS}}
+    out = json.loads(_run_main(["region", "--dump-config", "--config", json.dumps(document)]))
+    assert out["mc"] == {**document["mc"], "seed": 12345}
+    assert out["sweep"] == document["sweep"]
+
+
 def _run_main(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -429,9 +489,11 @@ def run_configs(path):
                           f_w=POSITIVE, k2=NONNEGATIVE, k4=NONNEGATIVE),
         P_a=POSITIVE,
         targets=st.lists(FINITE, max_size=3).map(tuple),
-        mc=st.builds(McConfig, n_symbols=st.integers(), oversample=st.integers(),
-                     window=st.integers(), seed=st.integers(0, 2**64 - 1)),
-        sweep=st.builds(SweepConfig, n_points=st.integers()),
+        mc=st.builds(McConfig, n_symbols=st.integers(max_value=_MAX_N_SYMBOLS),
+                     oversample=st.integers(max_value=_MAX_OVERSAMPLE),
+                     window=st.integers(max_value=_MAX_WINDOW),
+                     seed=st.integers(0, 2**64 - 1)),
+        sweep=st.builds(SweepConfig, n_points=st.integers(max_value=_MAX_N_POINTS)),
         output=st.builds(OutputConfig, format=st.sampled_from(["json", "csv"]),
                          path=st.none() | st.just(path)))
 

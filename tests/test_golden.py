@@ -1,7 +1,8 @@
 """Golden CLI outputs: each command's stdout must match its committed fixture
 byte for byte.  The fixtures under tests/golden/ were recorded once and are
 never regenerated to make this test pass: any drift in printed numbers, key
-order or formatting is a regression."""
+order or formatting is a regression.  A deliberate change of printed digits
+regenerates its fixture and records the old and new values in CHANGES.md."""
 
 from pathlib import Path
 
