@@ -39,8 +39,9 @@ __all__ = [
 ]
 
 _BLOCK = 1000
-# Blocks per pass of the chunked loops: the Gaussian draws' scaling and the
-# fused integrand and block reduction.
+# Rows per pass of the chunked loops: blocks in the Gaussian draws' scaling
+# and in the fused integrand and block reduction, frames in the mid-sample
+# convolution.
 _CHUNK_ROWS = 16
 # Substream purpose tags; they keep symbol and noise draws independent.
 _DOM_SYMBOLS = 0x01
@@ -219,7 +220,7 @@ def _kernel(window):
 
 @functools.lru_cache(maxsize=1)
 def _kernel_spectrum(window, size):
-    spectrum = np.fft.rfft(_kernel(window), size)
+    spectrum = np.fft.fft(_kernel(window), size)
     spectrum.flags.writeable = False
     return spectrum
 
@@ -227,16 +228,31 @@ def _kernel_spectrum(window, size):
 def _half_samples(symbols, window):
     # Truncated mid-sample interpolation at every index; entries within
     # `window` of either edge see zero-padding and must be discarded by the
-    # caller (the guard regions below).  The kernel is real, so the real and
-    # imaginary parts are convolved separately by real FFTs, at a power-of-two
-    # length covering the full linear convolution.
+    # caller (the guard regions below).  Overlap-save: frame f holds the
+    # zero-padded symbols from f*hop - window on, for a power-of-two frame
+    # length F >= 8*window (at least 4096, at most the one length covering
+    # the whole linear convolution) and hop = F - 2*window.  Its circular
+    # convolution with the kernel is exact past its first 2*window points,
+    # which are outputs f*hop onwards.  The frames are cut and transformed
+    # _CHUNK_ROWS at a time, so the FFTs stay cache-sized and the
+    # temporaries O(F); the layout depends on (n, window) alone.
     n = symbols.size
-    size = 1 << (n + 2 * window - 1).bit_length()
+    size = min(1 << (n + 2 * window - 1).bit_length(),
+               max(4096, 1 << (8 * window - 1).bit_length()))
+    hop = size - 2 * window
+    n_frames = -(-n // hop)
     kern_spectrum = _kernel_spectrum(window, size)
     out = np.empty(n, dtype=complex)
-    for part, dest in ((symbols.real, out.real), (symbols.imag, out.imag)):
-        dest[:] = np.fft.irfft(np.fft.rfft(part, size) * kern_spectrum,
-                               size)[window:window + n]
+    for row in range(0, n_frames, _CHUNK_ROWS):
+        frames = np.zeros((min(_CHUNK_ROWS, n_frames - row), size), dtype=complex)
+        for f, frame in enumerate(frames, row):
+            first = f * hop - window
+            part = symbols[max(first, 0):first + size]
+            frame[max(-first, 0):][:part.size] = part
+        spectrum = np.fft.fft(frames, out=frames)
+        spectrum *= kern_spectrum
+        valid = np.fft.ifft(spectrum, out=spectrum)[:, 2 * window:].reshape(-1)
+        out[row * hop:(row + len(frames)) * hop] = valid[:n - row * hop]
     return out
 
 
@@ -300,7 +316,7 @@ def _integrand_means(y, ch, row_len):
     return means
 
 
-def _phase_block_sums(spectrum, ch, oversample, lo, hi, block_len):
+def _phase_block_sums(spectrum, ch, oversample, lo, hi, block_len, on_grid):
     # Sum over phases p = 0, 1, ... of the integrand's block means on symbols
     # [lo, hi), phase p being the periodic band-limited interpolant of the
     # 2n-point sequence whose DFT X is `spectrum`, sampled at m/n + p/L with
@@ -310,22 +326,31 @@ def _phase_block_sums(spectrum, ch, oversample, lo, hi, block_len):
     # so folding k modulo n leaves one length-n inverse FFT per phase: bin j
     # collects X_j (k = j) and X_{n+j} (k = j - n), both turned by
     # e^{2 pi i j p/L}, the second also by e^{-2 pi i p/oversample}.
-    # `spectrum` is halved in place.
+    # Phases whose block means the caller already has, in the dict
+    # `on_grid`, take no FFT.  `spectrum` is halved in place.
     n = spectrum.size // 2
     spectrum *= 0.5  # exact; with the inverse FFT's 1/n it gives the 1/2n
     low, high = spectrum[:n], spectrum[n:]
-    step = np.exp(2j * math.pi / (n * oversample) * np.arange(n))
+    # e^{2 pi i j/L} for j = a*cols + b, as a product of two short tables
+    cols = math.isqrt(n) + 1
+    turns = 2j * math.pi / (n * oversample)
+    step = np.multiply.outer(np.exp(turns * cols * np.arange(-(-n // cols))),
+                             np.exp(turns * np.arange(cols))).reshape(-1)[:n]
     twiddle = np.ones(n, dtype=complex)  # e^{2 pi i j p/L}, one step per phase
     folded = np.empty(n, dtype=complex)
     sums = np.zeros((hi - lo) // block_len)
     for p in range(oversample):
-        turn = 2.0 * math.pi * p / oversample
-        np.multiply(high, complex(math.cos(turn), -math.sin(turn)), out=folded)
-        folded += low
-        folded *= twiddle
-        # both halves of the Nyquist bin, k = +-n, fold onto j = 0
-        folded[0] = low[0] + high[0] * math.cos(turn)
-        sums += _integrand_means(np.fft.ifft(folded, out=folded)[lo:hi], ch, block_len)
+        if p in on_grid:
+            sums += on_grid[p]
+        else:
+            turn = 2.0 * math.pi * p / oversample
+            np.multiply(high, complex(math.cos(turn), -math.sin(turn)), out=folded)
+            folded += low
+            folded *= twiddle
+            # both halves of the Nyquist bin, k = +-n, fold onto j = 0
+            folded[0] = low[0] + high[0] * math.cos(turn)
+            sums += _integrand_means(np.fft.ifft(folded, out=folded)[lo:hi], ch,
+                                     block_len)
         twiddle *= step
     return sums
 
@@ -372,13 +397,17 @@ def mc_delivered_power(dist, ch, n_symbols, oversample, seed,
     sinc truncation and the periodic wrap of the interpolation never touch
     them.  The standard error comes from means over 1000-symbol blocks.
 
-    Memory: the oversampled estimator never builds its n*oversample grid.
-    It takes one inverse FFT of length n per output phase and reduces each
-    phase into the block means, so it peaks at about 6 length-n complex
-    arrays (16*n bytes each) plus one length-n FFT's scratch, independent of
-    `oversample`; its time is linear in `oversample`.  The integrand is
-    reduced a few blocks at a time.  The half-rate estimator holds a few
-    length-n arrays.
+    Memory: the mid-samples come from overlap-save frames of a few
+    thousand points, transformed a few frames at a time.  The oversampled
+    estimator never builds its n*oversample grid.  Phase 0 is the
+    integer-time sequence and, for even `oversample`, phase oversample/2 the
+    mid-sample sequence, so those are reduced as they are; every other
+    phase takes one inverse FFT of length n (oversample-2 of them for even
+    `oversample`, oversample-1 for odd) and is reduced into the block means.
+    It peaks at about 6 length-n complex arrays (16*n bytes each) plus the
+    scratch of the 2n-point forward FFT, independent of `oversample`; its
+    time is linear in `oversample`.  The integrand is reduced a few blocks
+    at a time.  The half-rate estimator holds about 5 length-n arrays.
     """
     n = _integer(n_symbols, "n_symbols")
     if n < 1000:
@@ -402,6 +431,8 @@ def mc_delivered_power(dist, ch, n_symbols, oversample, seed,
     mid = _half_samples(symbols, window)
     y_even = ch.h * symbols + _draw_noise(n, ch.sigma_w2, seed, _DOM_NOISE_EVEN)
     del symbols
+    # `mid` stays named: numpy multiplies an unnamed temporary in place, and
+    # that rounds some complex products differently.
     y_mid = ch.h_tilde * mid + _draw_noise(n, ch.sigma_w2, seed, _DOM_NOISE_ODD)
     del mid
 
@@ -414,12 +445,18 @@ def mc_delivered_power(dist, ch, n_symbols, oversample, seed,
         block_means = 0.5 * (even_means + mid_means) / ch.f_w
         n_used = 2 * n_blocks * block_len
     else:
+        # The interpolant passes through the samples it interpolates, the
+        # split Nyquist bin included: phase 0 is y_even, and for even
+        # oversample phase oversample/2 is y_mid.
+        on_grid = {0: _integrand_means(y_even[lo:hi], ch, block_len)}
+        if oversample % 2 == 0:
+            on_grid[oversample // 2] = _integrand_means(y_mid[lo:hi], ch, block_len)
         interleaved = np.empty(2 * n, dtype=complex)
         interleaved[0::2] = y_even
         interleaved[1::2] = y_mid
         del y_even, y_mid
         block_means = _phase_block_sums(np.fft.fft(interleaved, out=interleaved),
-                                        ch, oversample, lo, hi, block_len)
+                                        ch, oversample, lo, hi, block_len, on_grid)
         block_means /= oversample * ch.f_w
         n_used = n_blocks * block_len * oversample
 

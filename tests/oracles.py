@@ -14,9 +14,12 @@ derived route to a quantity the package computes in closed form.
   block from its own freshly built substream generator;
 * half_sample_value — one mid-sample value as a direct dot product of the
   symbols with the truncated sinc kernel;
+* half_samples_one_fft — every mid-sample value by one real-FFT
+  convolution covering the whole linear convolution, no frames;
 * upsample, mc_oversampled_single_grid — the oversampled Monte-Carlo
   estimator on its whole n*oversample grid, built by one inverse FFT of the
-  zero-padded spectrum (a numpy copy of SciPy's even-length `resample`).
+  zero-padded spectrum (a numpy copy of SciPy's even-length `resample`),
+  from mid-samples by half_samples_one_fft.
 """
 
 import math
@@ -35,7 +38,6 @@ from swipt.simulate import (
     McEstimate,
     _blocking,
     _draw_noise,
-    _half_samples,
     _integrand,
     _kernel,
     _substream,
@@ -314,6 +316,25 @@ def half_sample_value(symbols, k, window):
     return complex(np.dot(segment, _kernel(window)[::-1]))
 
 
+def half_samples_one_fft(symbols, window):
+    """Truncated mid-sample interpolation at every index, as
+    simulate._half_samples computes it, by one convolution.
+
+    The kernel is real, so the real and imaginary parts are convolved
+    separately by real FFTs, at a power-of-two length covering the full
+    linear convolution; entries within `window` of either edge see
+    zero-padding.
+    """
+    n = symbols.size
+    size = 1 << (n + 2 * window - 1).bit_length()
+    kern_spectrum = np.fft.rfft(s_coeff(np.arange(-window, window + 1)), size)
+    out = np.empty(n, dtype=complex)
+    for part, dest in ((symbols.real, out.real), (symbols.imag, out.imag)):
+        dest[:] = np.fft.irfft(np.fft.rfft(part, size) * kern_spectrum,
+                               size)[window:window + n]
+    return out
+
+
 def _pad_spectrum(spectrum, num):
     # The spectrum of an even-length sequence zero-padded to num >= its length
     # and scaled by num / length while it is copied, ready for the inverse
@@ -348,7 +369,7 @@ def mc_oversampled_single_grid(dist, ch, n_symbols, oversample, seed, window=128
     symbols = draw_symbols(dist, n, seed)
     # `mid` stays named: numpy multiplies an unnamed temporary in place, and
     # that rounds some complex products differently.
-    mid = _half_samples(symbols, window)
+    mid = half_samples_one_fft(symbols, window)
     interleaved = np.empty(2 * n, dtype=complex)
     interleaved[0::2] = ch.h * symbols + _draw_noise(n, ch.sigma_w2, seed, _DOM_NOISE_EVEN)
     interleaved[1::2] = ch.h_tilde * mid + _draw_noise(n, ch.sigma_w2, seed, _DOM_NOISE_ODD)

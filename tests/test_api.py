@@ -29,7 +29,8 @@ def test_all_names_resolve(name):
 def test_oracles_live_in_tests(name):
     """Code only tests use lives in tests/oracles.py, not in the package."""
     module = importlib.import_module(f"swipt.{name}")
-    for attr in ("half_sample_value", "_pad_spectrum", "_upsample", "empirical_profile"):
+    for attr in ("half_sample_value", "half_samples_one_fft", "_pad_spectrum", "_upsample",
+                 "empirical_profile"):
         assert not hasattr(module, attr), f"swipt.{name}.{attr}"
     assert not hasattr(MomentProfile, "swapped")
 

@@ -42,7 +42,13 @@ from swipt.simulate import (
 
 from swipt.tradeoff import rp_region
 
-from oracles import draw_per_block, half_sample_value, mc_oversampled_single_grid, upsample
+from oracles import (
+    draw_per_block,
+    half_sample_value,
+    half_samples_one_fft,
+    mc_oversampled_single_grid,
+    upsample,
+)
 
 
 CH = ChannelParams(h=1.0, h_tilde=1.0, sigma_w2=1e-4, f_w=1.0,
@@ -255,6 +261,29 @@ class TestHalfSampleValue:
             half_sample_value(symbols, 5, 0)
 
 
+class TestOverlapSave:
+    """The framed mid-sample convolution against one convolution of the whole
+    sequence: the same linear convolution, so only rounding differs."""
+
+    @pytest.mark.parametrize("n, window", [
+        (1000, 16),      # shorter than one frame
+        (1001, 128),     # one frame, odd n
+        (1000, 1),       # the shortest kernel, one frame
+        (12345, 1),      # the shortest kernel, 4 frames of 4096
+        (4097, 128),     # 2 frames of 4096, the second nearly empty
+        (12345, 128),    # 4 frames, n not a multiple of the hop
+        (1000, 495),     # the largest window mc accepts at n = 1000
+        (20000, 1000),   # frames of 8192 > 4096
+        (100_000, 128),  # 27 frames: the last row batch is partial
+    ])
+    def test_matches_one_transform(self, n, window):
+        symbols = draw_symbols(GaussianGeneral(0.3, -0.2, 0.5, 0.25), n, SEED)
+        ours = _half_samples(symbols, window)
+        ref = half_samples_one_fft(symbols, window)
+        assert ours.shape == ref.shape
+        assert np.max(np.abs(ours - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
 class TestScipyOracles:
     """The numpy FFT interpolation and upsampling against the SciPy routines
     they stand for."""
@@ -431,28 +460,46 @@ class TestMcDeliveredPowerValues:
 
 
 class TestMemory:
-    @pytest.mark.parametrize("oversample", [8, 32])
-    def test_oversampled_peak_is_independent_of_oversample(self, oversample):
-        """An oversampled run at n = 1e5 peaks at no more than 8 length-n
-        complex arrays in traced memory at both oversample 8 and 32, so the
-        n*oversample grid is never built.  numpy reports its array
-        allocations to tracemalloc; the FFT library's scratch is not traced,
-        so the bound covers the estimator's arrays."""
-        n = 100_000
-        dist = GaussianZeroMean(0.5, 0.5)
-        mc_delivered_power(dist, CH, 2000, oversample, SEED)  # imports and caches
+    """Peaks in traced memory at n = 1e5, in length-n complex arrays (16*n
+    bytes).  numpy reports its array allocations to tracemalloc; the FFT
+    library's scratch is not traced, so the bounds cover the estimators'
+    arrays."""
+
+    N = 100_000
+
+    @staticmethod
+    def _traced_peak(run):
         was_tracing = tracemalloc.is_tracing()
         if not was_tracing:
             tracemalloc.start()
         try:
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            mc_delivered_power(dist, CH, n, oversample, SEED)
-            peak = tracemalloc.get_traced_memory()[1] - base
+            run()
+            return tracemalloc.get_traced_memory()[1] - base
         finally:
             if not was_tracing:
                 tracemalloc.stop()
-        assert peak <= 8 * 16 * n
+
+    @pytest.mark.parametrize("oversample", [8, 32])
+    def test_oversampled_peak_is_independent_of_oversample(self, oversample):
+        """An oversampled run peaks at no more than 8 arrays at both
+        oversample 8 and 32, so the n*oversample grid is never built."""
+        dist = GaussianZeroMean(0.5, 0.5)
+        mc_delivered_power(dist, CH, 2000, oversample, SEED)  # imports and caches
+        peak = self._traced_peak(
+            lambda: mc_delivered_power(dist, CH, self.N, oversample, SEED))
+        assert peak <= 8 * 16 * self.N
+
+    def test_half_rate_peak(self):
+        """A half-rate run peaks at no more than 5 arrays (measured 4.76):
+        the symbols, the mid-samples with their zero-padded frame source and
+        the noise draws, and no whole-sequence transform."""
+        dist = GaussianZeroMean(0.5, 0.5)
+        mc_delivered_power(dist, CH, 2000, 2, SEED, estimator="half_rate")
+        peak = self._traced_peak(
+            lambda: mc_delivered_power(dist, CH, self.N, 2, SEED, estimator="half_rate"))
+        assert peak <= 5 * 16 * self.N
 
 
 class TestEvenFourthMoment:
