@@ -316,42 +316,74 @@ def _integrand_means(y, ch, row_len):
     return means
 
 
-def _phase_block_sums(spectrum, ch, oversample, lo, hi, block_len, on_grid):
+def _rotate(x, angle):
+    # x[j] *= e^{i*angle*j} in place.  With j = a*cols + b the factor is
+    # e^{i*angle*cols*a} * e^{i*angle*b}: two ~sqrt(n)-point exp tables
+    # broadcast over a (rows, cols) view, and the partial last row, so no
+    # length-n table is built.
+    cols = math.isqrt(x.size) + 1
+    rows, tail = divmod(x.size, cols)
+    row_turns = np.exp(1j * (angle * cols) * np.arange(rows + 1))
+    col_turns = np.exp(1j * angle * np.arange(cols))
+    body = x[:rows * cols].reshape(rows, cols)
+    body *= row_turns[:rows, None]
+    body *= col_turns
+    x[rows * cols:] *= row_turns[rows] * col_turns[:tail]
+
+
+def _spectrum_halves(y_even, y_mid):
+    # X[:n]/2 and X[n:]/2 for X the 2n-point DFT of the interleaved sequence
+    # y_even[0], y_mid[0], y_even[1], ..., by one decimation-in-time step:
+    #   X_k = E_k + B_k,  X_{n+k} = E_k - B_k,  B_k = e^{-i pi k/n} M_k,
+    # with E and M the n-point DFTs of y_even and y_mid (Cooley & Tukey
+    # 1965).  Both are transformed in place, the first half is returned in
+    # y_even's buffer, and y_mid's buffer is left holding B, free for
+    # scratch.  Halving is exact; with the inverse FFT's 1/n it gives 1/2n.
+    low = np.fft.fft(y_even, out=y_even)
+    mid = np.fft.fft(y_mid, out=y_mid)
+    _rotate(mid, -math.pi / mid.size)
+    high = low - mid
+    low += mid
+    low *= 0.5
+    high *= 0.5
+    return low, high
+
+
+def _phase_block_sums(y_even, y_mid, ch, oversample, lo, hi, block_len):
     # Sum over phases p = 0, 1, ... of the integrand's block means on symbols
     # [lo, hi), phase p being the periodic band-limited interpolant of the
-    # 2n-point sequence whose DFT X is `spectrum`, sampled at m/n + p/L with
-    # L = n*oversample (fine-grid point m*oversample + p).  With the Nyquist
-    # bin split evenly between k = +-n,
+    # interleaved 2n-point sequence y_even[0], y_mid[0], y_even[1], ...,
+    # sampled at m/n + p/L with L = n*oversample (fine-grid point
+    # m*oversample + p).  The interpolant passes through the samples it
+    # interpolates, the split Nyquist bin included: phase 0 is y_even and,
+    # for even oversample, phase oversample/2 is y_mid, so those are reduced
+    # as they are.  For the other phases, with X the sequence's DFT and the
+    # Nyquist bin split evenly between k = +-n,
     #   y(m/n + p/L) = (1/2n) sum_{|k|<=n} X_k e^{2 pi i k p/L} e^{2 pi i k m/n},
     # so folding k modulo n leaves one length-n inverse FFT per phase: bin j
     # collects X_j (k = j) and X_{n+j} (k = j - n), both turned by
-    # e^{2 pi i j p/L}, the second also by e^{-2 pi i p/oversample}.
-    # Phases whose block means the caller already has, in the dict
-    # `on_grid`, take no FFT.  `spectrum` is halved in place.
-    n = spectrum.size // 2
-    spectrum *= 0.5  # exact; with the inverse FFT's 1/n it gives the 1/2n
-    low, high = spectrum[:n], spectrum[n:]
-    # e^{2 pi i j/L} for j = a*cols + b, as a product of two short tables
-    cols = math.isqrt(n) + 1
-    turns = 2j * math.pi / (n * oversample)
-    step = np.multiply.outer(np.exp(turns * cols * np.arange(-(-n // cols))),
-                             np.exp(turns * np.arange(cols))).reshape(-1)[:n]
-    twiddle = np.ones(n, dtype=complex)  # e^{2 pi i j p/L}, one step per phase
-    folded = np.empty(n, dtype=complex)
+    # e^{2 pi i j p/L}, the second also by e^{-2 pi i p/oversample}.  The
+    # spectrum is taken only when such a phase exists (not at oversample 2)
+    # and overwrites both buffers.
+    on_grid = {0: _integrand_means(y_even[lo:hi], ch, block_len)}
+    if oversample % 2 == 0:
+        on_grid[oversample // 2] = _integrand_means(y_mid[lo:hi], ch, block_len)
+    if len(on_grid) < oversample:
+        low, high = _spectrum_halves(y_even, y_mid)
+        folded = y_mid  # holds B, which the halves no longer need
     sums = np.zeros((hi - lo) // block_len)
     for p in range(oversample):
         if p in on_grid:
             sums += on_grid[p]
-        else:
-            turn = 2.0 * math.pi * p / oversample
-            np.multiply(high, complex(math.cos(turn), -math.sin(turn)), out=folded)
-            folded += low
-            folded *= twiddle
-            # both halves of the Nyquist bin, k = +-n, fold onto j = 0
-            folded[0] = low[0] + high[0] * math.cos(turn)
-            sums += _integrand_means(np.fft.ifft(folded, out=folded)[lo:hi], ch,
-                                     block_len)
-        twiddle *= step
+            continue
+        turn = 2.0 * math.pi * p / oversample
+        np.multiply(high, complex(math.cos(turn), -math.sin(turn)), out=folded)
+        folded += low
+        _rotate(folded, turn / folded.size)  # e^{2 pi i j p/L}
+        # both halves of the Nyquist bin, k = +-n, fold onto j = 0
+        folded[0] = low[0] + high[0] * math.cos(turn)
+        sums += _integrand_means(np.fft.ifft(folded, out=folded)[lo:hi], ch,
+                                 block_len)
     return sums
 
 
@@ -399,15 +431,18 @@ def mc_delivered_power(dist, ch, n_symbols, oversample, seed,
 
     Memory: the mid-samples come from overlap-save frames of a few
     thousand points, transformed a few frames at a time.  The oversampled
-    estimator never builds its n*oversample grid.  Phase 0 is the
-    integer-time sequence and, for even `oversample`, phase oversample/2 the
-    mid-sample sequence, so those are reduced as they are; every other
-    phase takes one inverse FFT of length n (oversample-2 of them for even
-    `oversample`, oversample-1 for odd) and is reduced into the block means.
-    It peaks at about 6 length-n complex arrays (16*n bytes each) plus the
-    scratch of the 2n-point forward FFT, independent of `oversample`; its
-    time is linear in `oversample`.  The integrand is reduced a few blocks
-    at a time.  The half-rate estimator holds about 5 length-n arrays.
+    estimator never builds its n*oversample grid, and no transform in it is
+    longer than n.  Phase 0 is the integer-time sequence and, for even
+    `oversample`, phase oversample/2 the mid-sample sequence, so those are
+    reduced as they are; at oversample 2 that is every phase and no FFT
+    runs.  Otherwise the spectrum of the interleaved sequence comes from
+    two in-place length-n FFTs, and every other phase takes one inverse FFT
+    of length n (oversample-2 of them for even `oversample`, oversample-1
+    for odd) and is reduced into the block means.  Both estimators peak at
+    about 5 length-n complex arrays (16*n bytes each) plus the FFT
+    library's scratch, the oversampled one independently of `oversample`;
+    its time is linear in `oversample`.  The integrand is reduced a few
+    blocks at a time.
     """
     n = _integer(n_symbols, "n_symbols")
     if n < 1000:
@@ -445,18 +480,8 @@ def mc_delivered_power(dist, ch, n_symbols, oversample, seed,
         block_means = 0.5 * (even_means + mid_means) / ch.f_w
         n_used = 2 * n_blocks * block_len
     else:
-        # The interpolant passes through the samples it interpolates, the
-        # split Nyquist bin included: phase 0 is y_even, and for even
-        # oversample phase oversample/2 is y_mid.
-        on_grid = {0: _integrand_means(y_even[lo:hi], ch, block_len)}
-        if oversample % 2 == 0:
-            on_grid[oversample // 2] = _integrand_means(y_mid[lo:hi], ch, block_len)
-        interleaved = np.empty(2 * n, dtype=complex)
-        interleaved[0::2] = y_even
-        interleaved[1::2] = y_mid
-        del y_even, y_mid
-        block_means = _phase_block_sums(np.fft.fft(interleaved, out=interleaved),
-                                        ch, oversample, lo, hi, block_len, on_grid)
+        block_means = _phase_block_sums(y_even, y_mid, ch, oversample, lo, hi,
+                                        block_len)
         block_means /= oversample * ch.f_w
         n_used = n_blocks * block_len * oversample
 

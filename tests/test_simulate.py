@@ -36,6 +36,7 @@ from swipt.simulate import (
     _draw,
     _half_samples,
     _kernel,
+    _spectrum_halves,
     _substream,
     _substreams,
 )
@@ -284,6 +285,41 @@ class TestOverlapSave:
         assert np.max(np.abs(ours - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
+class TestDecimationInTime:
+    """The oversampled estimator's spectrum comes from two n-point transforms,
+    and no transform in it is longer than n."""
+
+    # 1056 = 32 * 33 fills the twiddle tables' rows exactly: no partial row
+    @pytest.mark.parametrize("n", [1000, 1001, 1056, 12345])
+    def test_matches_interleaved_fft(self, n):
+        interleaved = draw_symbols(GaussianGeneral(0.3, -0.2, 0.5, 0.25), 2 * n, SEED)
+        ref = np.fft.fft(interleaved)
+        low, high = _spectrum_halves(interleaved[0::2].copy(), interleaved[1::2].copy())
+        ours = 2.0 * np.concatenate([low, high])
+        assert np.max(np.abs(ours - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("oversample, n_full_length", [
+        (2, 0),  # every phase on the grid: no spectrum, no inverse FFT
+        (7, 2 + 6),  # two forward transforms, phases 1..6
+        (8, 2 + 6),  # phases 0 and 4 on the grid
+    ])
+    def test_no_transform_longer_than_n(self, monkeypatch, oversample, n_full_length):
+        n_symbols = 100_000
+        lengths = []
+
+        def recorded(transform):
+            def wrapper(a, n=None, axis=-1, norm=None, out=None):
+                lengths.append(np.shape(a)[axis] if n is None else n)
+                return transform(a, n, axis, norm, out)
+            return wrapper
+
+        for name in ("fft", "ifft"):
+            monkeypatch.setattr(np.fft, name, recorded(getattr(np.fft, name)))
+        mc_delivered_power(GaussianZeroMean(0.5, 0.5), CH, n_symbols, oversample, SEED)
+        assert lengths and max(lengths) <= n_symbols
+        assert lengths.count(n_symbols) == n_full_length
+
+
 class TestScipyOracles:
     """The numpy FFT interpolation and upsampling against the SciPy routines
     they stand for."""
@@ -390,6 +426,21 @@ class TestMcDeliveredPowerStructure:
         assert fine.mean == pytest.approx(half.mean, rel=1e-10)
         assert fine.std_error == pytest.approx(half.std_error, rel=1e-8)
 
+    def test_oversample_two_is_half_rate_bit_for_bit(self):
+        """At oversample 2 both phases are on the grid, so the oversampled
+        estimator takes no spectrum and returns the half-rate estimate exactly,
+        complex gains and f_w != 1 included."""
+        ch = ChannelParams(h=0.8 + 0.6j, h_tilde=-0.3 + 0.9j, sigma_w2=0.05,
+                           f_w=2.5, k2=0.17, k4=19.145)
+        dist = GaussianGeneral(0.3, -0.1, 1.0, 0.5)
+        half = mc_delivered_power(dist, ch, 5003, 2, SEED, window=64,
+                                  estimator="half_rate")
+        fine = mc_delivered_power(dist, ch, 5003, 2, SEED, window=64,
+                                  estimator="oversampled")
+        assert fine.mean.hex() == half.mean.hex()
+        assert fine.std_error.hex() == half.std_error.hex()
+        assert (fine.n_samples, fine.seed) == (half.n_samples, half.seed)
+
     def test_estimators_agree_within_combined_se(self):
         dist = GaussianZeroMean(0.7, 0.3)
         a = mc_delivered_power(dist, CH, 20_000, 4, SEED, window=64,
@@ -483,13 +534,14 @@ class TestMemory:
 
     @pytest.mark.parametrize("oversample", [8, 32])
     def test_oversampled_peak_is_independent_of_oversample(self, oversample):
-        """An oversampled run peaks at no more than 8 arrays at both
-        oversample 8 and 32, so the n*oversample grid is never built."""
+        """An oversampled run peaks at no more than 5 arrays at both
+        oversample 8 and 32 (measured 4.72, the half-rate run's peak), so
+        the n*oversample grid and the 2n-point spectrum are never built."""
         dist = GaussianZeroMean(0.5, 0.5)
         mc_delivered_power(dist, CH, 2000, oversample, SEED)  # imports and caches
         peak = self._traced_peak(
             lambda: mc_delivered_power(dist, CH, self.N, oversample, SEED))
-        assert peak <= 8 * 16 * self.N
+        assert peak <= 5 * 16 * self.N
 
     def test_half_rate_peak(self):
         """A half-rate run peaks at no more than 5 arrays (measured 4.76):
