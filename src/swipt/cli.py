@@ -123,10 +123,10 @@ def from_json(cls, data, what):
 
 
 # Largest accepted sizes, checked before anything is allocated.  Each keeps
-# the largest run near 2 GB of peak memory at its measured cost per unit:
-# 40 B per series term, 1.7 kB per JSON sweep point, 128 B per Monte-Carlo
-# symbol, and 49 B per unit of window on top of that.  Memory does not grow
-# with oversample, but time does, linearly.
+# the largest run near 2 GB of peak memory at its measured cost per unit
+# (see README's table): 40 B per series term, 1.7 kB per JSON sweep point,
+# 50 B per Monte-Carlo symbol, and 90 B per unit of window on top of that.
+# Memory does not grow with oversample, but time does, linearly.
 _MAX_N_TERMS = 50_000_000
 _MAX_N_POINTS = 1_000_000
 _MAX_N_SYMBOLS = 15_000_000

@@ -316,19 +316,66 @@ def _integrand_means(y, ch, row_len):
     return means
 
 
-def _rotate(x, angle):
-    # x[j] *= e^{i*angle*j} in place.  With j = a*cols + b the factor is
-    # e^{i*angle*cols*a} * e^{i*angle*b}: two ~sqrt(n)-point exp tables
-    # broadcast over a (rows, cols) view, and the partial last row, so no
-    # length-n table is built.
-    cols = math.isqrt(x.size) + 1
-    rows, tail = divmod(x.size, cols)
-    row_turns = np.exp(1j * (angle * cols) * np.arange(rows + 1))
-    col_turns = np.exp(1j * angle * np.arange(cols))
-    body = x[:rows * cols].reshape(rows, cols)
-    body *= row_turns[:rows, None]
-    body *= col_turns
-    x[rows * cols:] *= row_turns[rows] * col_turns[:tail]
+def _four_step_shape(n):
+    # n = n1*n2 with n1 the largest divisor of n not above sqrt(n): both
+    # factors are near sqrt(n) when n has a divisor there, as round sizes
+    # do; a prime has n1 = 1 and is transformed whole.
+    n1 = next(d for d in range(math.isqrt(n), 0, -1) if n % d == 0)
+    return n1, n // n1
+
+
+def _twiddle(a, sign, shift):
+    # a[r, c] *= e^{sign*2*pi*i*r*(c + shift)/n} in place, n = a.size.
+    # With r = u*m + v and m = isqrt(rows) the factor is
+    # e^{sign*2*pi*i*u*m*(c + shift)/n} times e^{sign*2*pi*i*v*(c + shift)/n}:
+    # two tables of about sqrt(rows) rows, applied m rows at a time, so
+    # every inner loop runs along a contiguous row.  Row 0 of either table
+    # is all ones and is neither built nor applied.
+    n1, n2 = a.shape
+    m = math.isqrt(n1)
+    angles = (sign * 2.0 * math.pi / a.size) * (np.arange(n2) + shift)
+    fine = np.exp(1j * np.outer(np.arange(1, m), angles))
+    coarse = np.exp(1j * np.outer(np.arange(m, n1, m), angles))
+    for u, start in enumerate(range(0, n1, m)):
+        block = a[start:start + m]
+        block[1:] *= fine[:len(block) - 1]
+        if u:
+            block *= coarse[u - 1]
+
+
+def _shift_turns(n2, sign, shift):
+    # e^{sign*2*pi*i*k2*shift/n2}, k2 < n2: the part of a shift's phase
+    # ramp e^{sign*2*pi*i*k*shift/n} that varies along the rows
+    return np.exp((sign * 2.0 * math.pi * shift / n2) * 1j * np.arange(n2))
+
+
+def _fft_four_step(x, shift):
+    # X_k e^{-2 pi i k shift/n} for X the n-point DFT of x, in place: the
+    # DFT of x taken as sampled at times j + shift.  n1-point transforms
+    # run down the columns and n2-point transforms along the rows of x
+    # viewed as (n1, n2) (Bailey 1990), so each transform fits in cache and
+    # none needs length-n scratch.  With j = r*n2 + c and k = k1 + n1*k2,
+    #   k (j + shift)/n = r k1/n1 + k1 (c + shift)/n + k2 (c + shift)/n2
+    # modulo 1, so the shift rides on the twiddle and on one n2-point table.
+    # The spectrum comes back in the transposed layout
+    # [k1, k2] = X[k1 + n1*k2], as an (n1, n2) view of x.
+    a = x.reshape(_four_step_shape(x.size))
+    np.fft.fft(a, axis=0, out=a)
+    _twiddle(a, -1, shift)
+    np.fft.fft(a, axis=1, out=a)
+    a *= _shift_turns(a.shape[1], -1, shift)
+    return a
+
+
+def _ifft_four_step(a, shift):
+    # The inverse of _fft_four_step, in place: from a spectrum F in the
+    # transposed layout, (1/n) sum_k F_k e^{2 pi i k (j + shift)/n} for
+    # j = 0 .. n-1, in natural order.  That samples F's periodic
+    # interpolant `shift` after each j.
+    a *= _shift_turns(a.shape[1], 1, shift)
+    np.fft.ifft(a, axis=1, out=a)
+    _twiddle(a, 1, shift)
+    return np.fft.ifft(a, axis=0, out=a).reshape(-1)
 
 
 def _spectrum_halves(y_even, y_mid):
@@ -336,12 +383,14 @@ def _spectrum_halves(y_even, y_mid):
     # y_even[0], y_mid[0], y_even[1], ..., by one decimation-in-time step:
     #   X_k = E_k + B_k,  X_{n+k} = E_k - B_k,  B_k = e^{-i pi k/n} M_k,
     # with E and M the n-point DFTs of y_even and y_mid (Cooley & Tukey
-    # 1965).  Both are transformed in place, the first half is returned in
-    # y_even's buffer, and y_mid's buffer is left holding B, free for
-    # scratch.  Halving is exact; with the inverse FFT's 1/n it gives 1/2n.
-    low = np.fft.fft(y_even, out=y_even)
-    mid = np.fft.fft(y_mid, out=y_mid)
-    _rotate(mid, -math.pi / mid.size)
+    # 1965).  B is M shifted by half a sample, so _fft_four_step gives it
+    # directly.  Both are transformed in place and every later step is
+    # elementwise, so the halves stay in the transposed layout.  The first
+    # half is returned in y_even's buffer, and y_mid's buffer is left
+    # holding B, free for scratch.  Halving is exact; with the inverse
+    # transform's 1/n it gives 1/2n.
+    low = _fft_four_step(y_even, 0.0)
+    mid = _fft_four_step(y_mid, 0.5)
     high = low - mid
     low += mid
     low *= 0.5
@@ -363,6 +412,9 @@ def _phase_block_sums(y_even, y_mid, ch, oversample, lo, hi, block_len):
     # so folding k modulo n leaves one length-n inverse FFT per phase: bin j
     # collects X_j (k = j) and X_{n+j} (k = j - n), both turned by
     # e^{2 pi i j p/L}, the second also by e^{-2 pi i p/oversample}.  The
+    # fold is elementwise, so it works in the spectrum's transposed layout;
+    # the turn e^{2 pi i j p/L} is a shift of p/oversample samples, which
+    # _ifft_four_step applies, returning the phase in natural order.  The
     # spectrum is taken only when such a phase exists (not at oversample 2)
     # and overwrites both buffers.
     on_grid = {0: _integrand_means(y_even[lo:hi], ch, block_len)}
@@ -370,7 +422,7 @@ def _phase_block_sums(y_even, y_mid, ch, oversample, lo, hi, block_len):
         on_grid[oversample // 2] = _integrand_means(y_mid[lo:hi], ch, block_len)
     if len(on_grid) < oversample:
         low, high = _spectrum_halves(y_even, y_mid)
-        folded = y_mid  # holds B, which the halves no longer need
+        folded = y_mid.reshape(low.shape)  # holds B, which the halves no longer need
     sums = np.zeros((hi - lo) // block_len)
     for p in range(oversample):
         if p in on_grid:
@@ -379,11 +431,10 @@ def _phase_block_sums(y_even, y_mid, ch, oversample, lo, hi, block_len):
         turn = 2.0 * math.pi * p / oversample
         np.multiply(high, complex(math.cos(turn), -math.sin(turn)), out=folded)
         folded += low
-        _rotate(folded, turn / folded.size)  # e^{2 pi i j p/L}
         # both halves of the Nyquist bin, k = +-n, fold onto j = 0
-        folded[0] = low[0] + high[0] * math.cos(turn)
-        sums += _integrand_means(np.fft.ifft(folded, out=folded)[lo:hi], ch,
-                                 block_len)
+        folded[0, 0] = low[0, 0] + high[0, 0] * math.cos(turn)
+        sums += _integrand_means(_ifft_four_step(folded, p / oversample)[lo:hi],
+                                 ch, block_len)
     return sums
 
 
@@ -430,19 +481,23 @@ def mc_delivered_power(dist, ch, n_symbols, oversample, seed,
     them.  The standard error comes from means over 1000-symbol blocks.
 
     Memory: the mid-samples come from overlap-save frames of a few
-    thousand points, transformed a few frames at a time.  The oversampled
-    estimator never builds its n*oversample grid, and no transform in it is
-    longer than n.  Phase 0 is the integer-time sequence and, for even
-    `oversample`, phase oversample/2 the mid-sample sequence, so those are
-    reduced as they are; at oversample 2 that is every phase and no FFT
+    thousand points, transformed a few frames at a time, and the channel
+    outputs are formed in place.  The oversampled estimator never builds
+    its n*oversample grid.  Phase 0 is the integer-time sequence and, for
+    even `oversample`, phase oversample/2 the mid-sample sequence, so those
+    are reduced as they are; at oversample 2 that is every phase and no FFT
     runs.  Otherwise the spectrum of the interleaved sequence comes from
-    two in-place length-n FFTs, and every other phase takes one inverse FFT
-    of length n (oversample-2 of them for even `oversample`, oversample-1
-    for odd) and is reduced into the block means.  Both estimators peak at
-    about 5 length-n complex arrays (16*n bytes each) plus the FFT
-    library's scratch, the oversampled one independently of `oversample`;
-    its time is linear in `oversample`.  The integrand is reduced a few
-    blocks at a time.
+    two in-place length-n DFTs, and every other phase takes one in-place
+    inverse DFT of length n (oversample-2 of them for even `oversample`,
+    oversample-1 for odd) and is reduced into the block means.  Each DFT is
+    a four-step transform over an n1 x n2 view of its sequence, n1 the
+    largest divisor of n not above sqrt(n): batches of n1- and n2-point
+    FFTs, both about sqrt(n) long when n has a divisor near sqrt(n), with
+    scratch of their own length only (a prime n takes one length-n FFT).
+    Both estimators peak at about 4 length-n complex arrays (16*n bytes
+    each), the oversampled one independently of `oversample`; its time is
+    linear in `oversample`.  The integrand is reduced a few blocks at a
+    time.
     """
     n = _integer(n_symbols, "n_symbols")
     if n < 1000:
@@ -462,14 +517,16 @@ def mc_delivered_power(dist, ch, n_symbols, oversample, seed,
     if hi - lo < 10:
         raise ValueError("n_symbols too small for the edge guard")
 
-    symbols = draw_symbols(dist, n, seed)
-    mid = _half_samples(symbols, window)
-    y_even = ch.h * symbols + _draw_noise(n, ch.sigma_w2, seed, _DOM_NOISE_EVEN)
-    del symbols
-    # `mid` stays named: numpy multiplies an unnamed temporary in place, and
-    # that rounds some complex products differently.
-    y_mid = ch.h_tilde * mid + _draw_noise(n, ch.sigma_w2, seed, _DOM_NOISE_ODD)
-    del mid
+    # The channel outputs are formed in place in the buffers of the symbols
+    # and the mid-samples, which saves a length-n temporary.  numpy rounds
+    # some in-place complex products differently from out-of-place ones, so
+    # the estimates' last digits depend on this form.
+    y_even = draw_symbols(dist, n, seed)
+    y_mid = _half_samples(y_even, window)
+    y_even *= ch.h
+    y_even += _draw_noise(n, ch.sigma_w2, seed, _DOM_NOISE_EVEN)
+    y_mid *= ch.h_tilde
+    y_mid += _draw_noise(n, ch.sigma_w2, seed, _DOM_NOISE_ODD)
 
     block_len, n_blocks = _blocking(hi - lo)
     hi = lo + n_blocks * block_len  # whole blocks only

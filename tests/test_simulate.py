@@ -8,7 +8,12 @@ factor) are exact.
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -34,7 +39,10 @@ from swipt.simulate import (
     _DOM_QTILDE,
     _DOM_SYMBOLS,
     _draw,
+    _fft_four_step,
+    _four_step_shape,
     _half_samples,
+    _ifft_four_step,
     _kernel,
     _spectrum_halves,
     _substream,
@@ -286,24 +294,57 @@ class TestOverlapSave:
 
 
 class TestDecimationInTime:
-    """The oversampled estimator's spectrum comes from two n-point transforms,
-    and no transform in it is longer than n."""
+    """The oversampled estimator's spectrum comes from two four-step n-point
+    transforms, whose spectra sit in the transposed layout
+    [k1, k2] = X[k1 + n1*k2], and no transform in it is longer than about
+    sqrt(n) when n has a divisor near sqrt(n)."""
 
-    # 1056 = 32 * 33 fills the twiddle tables' rows exactly: no partial row
-    @pytest.mark.parametrize("n", [1000, 1001, 1056, 12345])
+    # (n, n1): 1009 is prime, so n1 = 1 and one length-n transform runs;
+    # 1056 = 32*33 fills the twiddle tables' rows exactly
+    SHAPES = [(1000, 25), (1001, 13), (1009, 1), (1056, 32), (12345, 15)]
+
+    @staticmethod
+    def _natural(spectrum):
+        # the transposed layout back in natural order
+        return spectrum.T.reshape(-1)
+
+    @pytest.mark.parametrize("n, n1", SHAPES)
+    def test_four_step_matches_numpy(self, n, n1):
+        """The forward transform is numpy's DFT of x sampled `shift`
+        later, X_k e^{-2 pi i k shift/n}; the inverse is numpy's inverse DFT
+        with the opposite ramp."""
+        assert _four_step_shape(n) == (n1, n // n1)
+        x = draw_symbols(GaussianGeneral(0.3, -0.2, 0.5, 0.25), n, SEED)
+        for shift in (0.0, 0.375):
+            ramp = np.exp(2j * np.pi * shift * np.arange(n) / n)
+            ref = np.fft.fft(x) / ramp
+            ours = self._natural(_fft_four_step(x.copy(), shift))
+            assert np.max(np.abs(ours - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+            ref = np.fft.ifft(x * ramp)
+            transposed = x.reshape(n // n1, n1).T.copy()  # [k1, k2] = x[k1 + n1*k2]
+            ours = _ifft_four_step(transposed, shift)
+            assert ours.shape == ref.shape
+            assert np.max(np.abs(ours - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n", [n for n, _ in SHAPES])
     def test_matches_interleaved_fft(self, n):
         interleaved = draw_symbols(GaussianGeneral(0.3, -0.2, 0.5, 0.25), 2 * n, SEED)
         ref = np.fft.fft(interleaved)
         low, high = _spectrum_halves(interleaved[0::2].copy(), interleaved[1::2].copy())
-        ours = 2.0 * np.concatenate([low, high])
+        ours = 2.0 * np.concatenate([self._natural(low), self._natural(high)])
         assert np.max(np.abs(ours - ref)) <= 1e-14 * np.max(np.abs(ref))
 
-    @pytest.mark.parametrize("oversample, n_full_length", [
-        (2, 0),  # every phase on the grid: no spectrum, no inverse FFT
+    @pytest.mark.parametrize("oversample, n_four_step", [
+        (2, 0),  # every phase on the grid: no spectrum, no inverse transform
         (7, 2 + 6),  # two forward transforms, phases 1..6
         (8, 2 + 6),  # phases 0 and 4 on the grid
     ])
-    def test_no_transform_longer_than_n(self, monkeypatch, oversample, n_full_length):
+    def test_no_transform_longer_than_n(self, monkeypatch, oversample, n_four_step):
+        """At n = 1e5 = 250*400 each four-step transform runs one batch of
+        250-point and one of 400-point transforms, and no transform has
+        length n.  The other transforms are the overlap-save frames, which
+        the half-rate estimator runs as well."""
         n_symbols = 100_000
         lengths = []
 
@@ -313,11 +354,19 @@ class TestDecimationInTime:
                 return transform(a, n, axis, norm, out)
             return wrapper
 
+        def transform_lengths(estimator):
+            lengths.clear()
+            mc_delivered_power(GaussianZeroMean(0.5, 0.5), CH, n_symbols, oversample,
+                               SEED, estimator=estimator)
+            return Counter(lengths)
+
         for name in ("fft", "ifft"):
             monkeypatch.setattr(np.fft, name, recorded(getattr(np.fft, name)))
-        mc_delivered_power(GaussianZeroMean(0.5, 0.5), CH, n_symbols, oversample, SEED)
-        assert lengths and max(lengths) <= n_symbols
-        assert lengths.count(n_symbols) == n_full_length
+        frames = transform_lengths("half_rate")
+        ours = transform_lengths("oversampled")
+        assert set(frames) == {4096}
+        assert ours - frames == Counter({250: n_four_step, 400: n_four_step})
+        assert n_symbols not in ours
 
 
 class TestScipyOracles:
@@ -514,7 +563,7 @@ class TestMemory:
     """Peaks in traced memory at n = 1e5, in length-n complex arrays (16*n
     bytes).  numpy reports its array allocations to tracemalloc; the FFT
     library's scratch is not traced, so the bounds cover the estimators'
-    arrays."""
+    arrays, and a fresh process's resident peak covers the rest."""
 
     N = 100_000
 
@@ -534,24 +583,54 @@ class TestMemory:
 
     @pytest.mark.parametrize("oversample", [8, 32])
     def test_oversampled_peak_is_independent_of_oversample(self, oversample):
-        """An oversampled run peaks at no more than 5 arrays at both
-        oversample 8 and 32 (measured 4.72, the half-rate run's peak), so
+        """An oversampled run peaks at no more than 4 arrays at both
+        oversample 8 and 32 (measured 3.72, the half-rate run's peak), so
         the n*oversample grid and the 2n-point spectrum are never built."""
         dist = GaussianZeroMean(0.5, 0.5)
         mc_delivered_power(dist, CH, 2000, oversample, SEED)  # imports and caches
         peak = self._traced_peak(
             lambda: mc_delivered_power(dist, CH, self.N, oversample, SEED))
-        assert peak <= 5 * 16 * self.N
+        assert peak <= 4 * 16 * self.N
 
     def test_half_rate_peak(self):
-        """A half-rate run peaks at no more than 5 arrays (measured 4.76):
+        """A half-rate run peaks at no more than 4 arrays (measured 3.72):
         the symbols, the mid-samples with their zero-padded frame source and
-        the noise draws, and no whole-sequence transform."""
+        the noise draws, with the channel products formed in place and no
+        whole-sequence transform."""
         dist = GaussianZeroMean(0.5, 0.5)
         mc_delivered_power(dist, CH, 2000, 2, SEED, estimator="half_rate")
         peak = self._traced_peak(
             lambda: mc_delivered_power(dist, CH, self.N, 2, SEED, estimator="half_rate"))
-        assert peak <= 5 * 16 * self.N
+        assert peak <= 4 * 16 * self.N
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                        reason="reads the resident high-water mark from /proc")
+    def test_fresh_process_resident_peak(self):
+        """After a warm-up call, one oversampled call at n = 1e6 raises a
+        fresh process's resident high-water mark by no more than 4 arrays
+        (64 MB; measured 50 MB, and 79 MB with whole-sequence FFTs): the
+        four-step transforms need no length-n scratch, which tracemalloc
+        cannot see.  The mark is the process's own VmHWM: ru_maxrss would
+        start at the test runner's resident set, which it keeps through
+        fork and exec."""
+        code = textwrap.dedent("""
+            from swipt.rectenna import ChannelParams
+            from swipt.simulate import GaussianZeroMean, mc_delivered_power
+
+            def peak_kib():
+                with open("/proc/self/status") as status:
+                    return next(int(line.split()[1]) for line in status
+                                if line.startswith("VmHWM:"))
+
+            dist, ch = GaussianZeroMean(0.5, 0.5), ChannelParams()
+            mc_delivered_power(dist, ch, 10_000, 8, 1)
+            before = peak_kib()
+            mc_delivered_power(dist, ch, 1_000_000, 8, 1)
+            print(peak_kib() - before)
+        """)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, check=True)
+        assert int(proc.stdout) * 1024 <= 4 * 16 * 1_000_000
 
 
 class TestEvenFourthMoment:
