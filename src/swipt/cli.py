@@ -126,7 +126,11 @@ def from_json(cls, data, what):
 # the largest run near 2 GB of peak memory at its measured cost per unit
 # (see README's table): 40 B per series term, 1.7 kB per JSON sweep point,
 # 50 B per Monte-Carlo symbol, and 90 B per unit of window on top of that.
-# Memory does not grow with oversample, but time does, linearly.
+# Memory does not grow with oversample, but time does, linearly.  The 50 B
+# per symbol holds for sizes with a divisor near their square root, as
+# round sizes have; any other size, a prime above all, takes one
+# full-length Bluestein FFT per transform, about 176 MB and 3.6 s per
+# oversampled call at 999 983 symbols, and is not bounded separately.
 _MAX_N_TERMS = 50_000_000
 _MAX_N_POINTS = 1_000_000
 _MAX_N_SYMBOLS = 15_000_000

@@ -80,16 +80,12 @@ class MomentProfile:
 class DerivedMoments:
     """Aggregates feeding the power formula.
 
-    P, Q are total second/fourth moments of the complex symbol; mu the
-    complex mean; P_bar = E[X^2] and T_bar = E[|X|^2 X] the pseudo-moments;
-    Q_tilde the fourth moment of the half-sample interpolated stream.
+    P, Q are total second/fourth moments of the complex symbol; Q_tilde the
+    fourth moment of the half-sample interpolated stream.
     """
 
     P: float
     Q: float
-    mu: complex
-    P_bar: complex
-    T_bar: complex
     Q_tilde: float
 
 
@@ -113,10 +109,7 @@ def derived_moments(profile):
     p = profile
     total_p = p.P_r + p.P_i
     total_q = p.Q_r + p.Q_i + 2.0 * p.P_r * p.P_i
-    mu = complex(p.mu_r, p.mu_i)
-    p_bar = complex(p.P_r - p.P_i, 2.0 * p.mu_r * p.mu_i)
-    t_bar = complex(p.T_r + p.mu_r * p.P_i, p.P_r * p.mu_i + p.T_i)
-    return DerivedMoments(total_p, total_q, mu, p_bar, t_bar, q_tilde(p))
+    return DerivedMoments(total_p, total_q, q_tilde(p))
 
 
 def gaussian_profile(mu_r, mu_i, var_r, var_i):

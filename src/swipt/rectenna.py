@@ -98,17 +98,21 @@ def delivered_power(profile, ch):
             + (c.beta + c.beta_tilde) * d.P + c.gamma)
 
 
-def delivered_power_gaussian_zero_mean(P_r, P_i, ch):
-    """Fast path for zero-mean Gaussian inputs.
-
-    There the on-sample and mid-sample fourth moments coincide at
-    3*(P_r^2 + P_i^2) + 2*P_r*P_i, so the full profile machinery reduces to
-    one quadratic.  Agrees with delivered_power on the matching profile to
-    rounding error.  P_r and P_i may be scalars or arrays.
-    """
-    if np.any(P_r < 0.0) or np.any(P_i < 0.0):
-        raise ValueError("powers must be nonnegative")
-    c = coeffs(ch)
+def _gaussian_power(c, P_r, P_i):
+    # Zero-mean Gaussian input under coefficients c: the on-sample and
+    # mid-sample fourth moments coincide at 3*(P_r^2 + P_i^2) + 2*P_r*P_i,
+    # so the delivered power is one quadratic in the per-dimension powers.
     fourth = 3.0 * (P_r * P_r + P_i * P_i) + 2.0 * P_r * P_i
     return ((c.alpha + c.alpha_tilde) * fourth
             + (c.beta + c.beta_tilde) * (P_r + P_i) + c.gamma)
+
+
+def delivered_power_gaussian_zero_mean(P_r, P_i, ch):
+    """delivered_power of a zero-mean Gaussian input with per-dimension
+    powers P_r, P_i (scalars or arrays), without building its profile.
+
+    Agrees with delivered_power on the matching profile to rounding error.
+    """
+    if np.any(P_r < 0.0) or np.any(P_i < 0.0):
+        raise ValueError("powers must be nonnegative")
+    return _gaussian_power(coeffs(ch), P_r, P_i)

@@ -13,7 +13,6 @@ symbol stream are even stable under changes of the total length.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -210,19 +209,9 @@ def draw_symbols(dist, n, seed):
     return _draw(dist, n, _check_seed(seed), _DOM_SYMBOLS)
 
 
-@functools.cache
 def _kernel(window):
-    # taps s_{-window} .. s_{window}, convolution-ordered; shared, so read-only
-    kern = s_coeff(np.arange(-window, window + 1))
-    kern.flags.writeable = False
-    return kern
-
-
-@functools.lru_cache(maxsize=1)
-def _kernel_spectrum(window, size):
-    spectrum = np.fft.fft(_kernel(window), size)
-    spectrum.flags.writeable = False
-    return spectrum
+    # taps s_{-window} .. s_{window}, convolution-ordered
+    return s_coeff(np.arange(-window, window + 1))
 
 
 def _half_samples(symbols, window):
@@ -241,7 +230,7 @@ def _half_samples(symbols, window):
                max(4096, 1 << (8 * window - 1).bit_length()))
     hop = size - 2 * window
     n_frames = -(-n // hop)
-    kern_spectrum = _kernel_spectrum(window, size)
+    kern_spectrum = np.fft.fft(_kernel(window), size)
     out = np.empty(n, dtype=complex)
     for row in range(0, n_frames, _CHUNK_ROWS):
         frames = np.zeros((min(_CHUNK_ROWS, n_frames - row), size), dtype=complex)
@@ -266,6 +255,12 @@ class McEstimate:
     seed: int
 
 
+def _estimate(values, n_used, seed):
+    # Mean of i.i.d. block values and its standard error
+    std_error = values.std(ddof=1) / math.sqrt(values.size)
+    return McEstimate(float(values.mean()), float(std_error), n_used, seed)
+
+
 def mc_q_tilde(dist, n_blocks, window, seed):
     """Monte-Carlo estimate of the mid-sample fourth moment E[|X~|^4].
 
@@ -285,9 +280,7 @@ def mc_q_tilde(dist, n_blocks, window, seed):
     count = 2 * window + 1
     blocks = _draw(dist, n_blocks * count, seed, _DOM_QTILDE).reshape(n_blocks, count)
     values = np.abs(blocks @ _kernel(window)[::-1]) ** 4
-    mean = float(values.mean())
-    std_error = float(values.std(ddof=1) / math.sqrt(n_blocks))
-    return McEstimate(mean, std_error, n_blocks, seed)
+    return _estimate(values, n_blocks, seed)
 
 
 def _draw_noise(n, sigma_w2, seed, domain):
@@ -460,11 +453,12 @@ def mc_delivered_power(dist, ch, n_symbols, oversample, seed,
     independent noise draw.  Two estimators of the time average of
     2*k2*|y|^2 + (3/2)*k4*|y|^4, divided by f_w:
 
-    * "half_rate" pools the two sampling phases directly;
     * "oversampled" band-limited-interpolates the interleaved sequence onto
       `oversample` points per symbol and averages there.  oversample >= 4
       keeps the quartic term alias-free; below 2 even the squared envelope
       aliases, so that is rejected.
+    * "half_rate" pools the two sampling phases directly: it is the
+      oversampled estimator at 2 points per symbol, whatever `oversample`.
 
     The second-order term is weighted once per sampling phase while the
     quartic term is pooled across phases, matching how the closed-form
@@ -493,11 +487,15 @@ def mc_delivered_power(dist, ch, n_symbols, oversample, seed,
     a four-step transform over an n1 x n2 view of its sequence, n1 the
     largest divisor of n not above sqrt(n): batches of n1- and n2-point
     FFTs, both about sqrt(n) long when n has a divisor near sqrt(n), with
-    scratch of their own length only (a prime n takes one length-n FFT).
-    Both estimators peak at about 4 length-n complex arrays (16*n bytes
-    each), the oversampled one independently of `oversample`; its time is
-    linear in `oversample`.  The integrand is reduced a few blocks at a
-    time.
+    scratch of their own length only.  Both estimators peak at about 4
+    length-n complex arrays (16*n bytes each), the oversampled one
+    independently of `oversample`; its time is linear in `oversample`.  The
+    integrand is reduced a few blocks at a time.  A size without a divisor
+    near sqrt(n), a prime above all, takes one full-length FFT per
+    transform, which numpy runs by Bluestein's algorithm with scratch of
+    about twice n: on a 2-vCPU Xeon, one oversampled call at n = 999 983
+    (oversample 8) takes about 3.6 s and 176 MB more resident memory,
+    against 0.65 s and 49 MB at n = 1e6.
     """
     n = _integer(n_symbols, "n_symbols")
     if n < 1000:
@@ -509,6 +507,8 @@ def mc_delivered_power(dist, ch, n_symbols, oversample, seed,
             "signal bandwidth")
     if estimator not in ESTIMATORS:
         raise ValueError(f"estimator must be one of {ESTIMATORS}")
+    if estimator == "half_rate":
+        oversample = 2
     window = _integer(window, "window")
     if window < 1:
         raise ValueError("window must be >= 1")
@@ -531,20 +531,9 @@ def mc_delivered_power(dist, ch, n_symbols, oversample, seed,
     block_len, n_blocks = _blocking(hi - lo)
     hi = lo + n_blocks * block_len  # whole blocks only
 
-    if estimator == "half_rate":
-        even_means = _integrand_means(y_even[lo:hi], ch, block_len)
-        mid_means = _integrand_means(y_mid[lo:hi], ch, block_len)
-        block_means = 0.5 * (even_means + mid_means) / ch.f_w
-        n_used = 2 * n_blocks * block_len
-    else:
-        block_means = _phase_block_sums(y_even, y_mid, ch, oversample, lo, hi,
-                                        block_len)
-        block_means /= oversample * ch.f_w
-        n_used = n_blocks * block_len * oversample
-
-    mean = float(block_means.mean())
-    std_error = float(block_means.std(ddof=1) / math.sqrt(n_blocks))
-    return McEstimate(mean, std_error, n_used, seed)
+    block_means = _phase_block_sums(y_even, y_mid, ch, oversample, lo, hi, block_len)
+    block_means /= oversample * ch.f_w
+    return _estimate(block_means, n_blocks * block_len * oversample, seed)
 
 
 def mc_even_fourth_moment(dist, ch, n_symbols, seed):
@@ -559,9 +548,7 @@ def mc_even_fourth_moment(dist, ch, n_symbols, seed):
     block_len, n_blocks = _blocking(n)
     vals = (power * power)[:n_blocks * block_len]
     block_means = vals.reshape(n_blocks, block_len).mean(axis=1)
-    mean = float(block_means.mean())
-    std_error = float(block_means.std(ddof=1) / math.sqrt(n_blocks))
-    return McEstimate(mean, std_error, n_blocks * block_len, seed)
+    return _estimate(block_means, n_blocks * block_len, seed)
 
 
 def fourth_moment_even(profile, ch):

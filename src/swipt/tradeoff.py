@@ -18,7 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .moments import gaussian_profile
-from .rectenna import coeffs, delivered_power, delivered_power_gaussian_zero_mean
+from .rectenna import (
+    _gaussian_power,
+    coeffs,
+    delivered_power,
+    delivered_power_gaussian_zero_mean,
+)
 from .series import _integer
 from .simulate import GaussianZeroMean
 
@@ -33,6 +38,9 @@ __all__ = [
     "rp_region",
     "kkt_check",
 ]
+
+_TARGET_TOL = 1e-9  # optimal_allocation's relative headroom above pdc_max
+_KKT_TOL = 1e-6  # kkt_check's tightness and sign tolerance
 
 
 class Infeasible(ValueError):
@@ -82,47 +90,42 @@ def rate_gaussian(alloc, ch):
 
 def pdc_min(P_a, ch):
     """Delivered power at the even (max-rate) split of budget P_a."""
-    c = coeffs(ch)
-    return (2.0 * (c.alpha + c.alpha_tilde) * P_a * P_a
-            + (c.beta + c.beta_tilde) * P_a + c.gamma)
+    return _gaussian_power(coeffs(ch), 0.5 * P_a, 0.5 * P_a)
 
 
 def pdc_max(P_a, ch):
     """Delivered power with the whole budget on one axis (min-rate corner)."""
-    c = coeffs(ch)
-    return (3.0 * (c.alpha + c.alpha_tilde) * P_a * P_a
-            + (c.beta + c.beta_tilde) * P_a + c.gamma)
+    return _gaussian_power(coeffs(ch), P_a, 0.0)
 
 
-def optimal_allocation(P_a, P_d, ch, tol=1e-9):
+def optimal_allocation(P_a, P_d, ch):
     """Rate-maximizing split of budget P_a meeting delivered-power target P_d.
 
     Delivered power decreases strictly as the split evens out, so the best
     feasible point is the most symmetric split still delivering P_d: below
     pdc_min the unconstrained optimum (P_a/2, P_a/2) already qualifies;
-    beyond pdc_max * (1 + tol) nothing does (typed Infeasible); in between,
-    P_d = pdc_max - 4A*P_i*(P_a - P_i) with A = alpha + alpha_tilde > 0, whose
-    root below P_a/2 is P_i = q / (P_a/2 + sqrt((P_d - pdc_min)/(4A))),
-    q = (pdc_max - P_d)/(4A) — the form without cancellation near the
-    corner.  Output is canonicalized with P_r >= P_i; the mirrored split
-    performs identically.
+    beyond pdc_max * (1 + 1e-9) nothing does (typed Infeasible), and a
+    target from pdc_max up to that fixed relative headroom gets the corner;
+    in between, P_d = pdc_max - 4A*P_i*(P_a - P_i) with
+    A = alpha + alpha_tilde > 0, whose root below P_a/2 is
+    P_i = q / (P_a/2 + sqrt((P_d - pdc_min)/(4A))), q = (pdc_max - P_d)/(4A)
+    — the form without cancellation near the corner.  Output is
+    canonicalized with P_r >= P_i; the mirrored split performs identically.
     """
     if not (math.isfinite(P_a) and P_a > 0.0):
         raise ValueError(f"P_a must be positive and finite, got {P_a!r}")
     if not math.isfinite(P_d):
         raise ValueError(f"P_d must be finite, got {P_d!r}")
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-    power_even = pdc_min(P_a, ch)
-    power_corner = pdc_max(P_a, ch)
-    if P_d > power_corner * (1.0 + tol):
+    c = coeffs(ch)
+    power_even = _gaussian_power(c, 0.5 * P_a, 0.5 * P_a)
+    power_corner = _gaussian_power(c, P_a, 0.0)
+    if P_d > power_corner * (1.0 + _TARGET_TOL):
         raise Infeasible(
             f"target {P_d!r} exceeds the maximum delivered power {power_corner!r}")
     if P_d <= power_even:
         return GaussianZeroMean(0.5 * P_a, 0.5 * P_a)
     if P_d >= power_corner:
         return GaussianZeroMean(P_a, 0.0)
-    c = coeffs(ch)
     four_a = 4.0 * (c.alpha + c.alpha_tilde)
     q = (power_corner - P_d) / four_a
     # with A near the rounding level of pdc_min, the rounding error in
@@ -152,7 +155,7 @@ def rp_region(P_a, ch, n_points):
             for rate, power, pr, pi in zip(rates, powers, p_r.tolist(), p_i.tolist())]
 
 
-def kkt_check(alloc, mu_r, mu_i, P_a, P_d, ch, tol=1e-6):
+def kkt_check(alloc, mu_r, mu_i, P_a, P_d, ch):
     """First-order optimality check at a candidate (allocation, mean) point.
 
     The complementary-slackness pattern is read off the point first — any
@@ -178,7 +181,7 @@ def kkt_check(alloc, mu_r, mu_i, P_a, P_d, ch, tol=1e-6):
     c1 = 0.5 * ch.f_w / math.log(2.0)  # rate in bits
     var_r = alloc.P_r - mu_r * mu_r
     var_i = alloc.P_i - mu_i * mu_i
-    if var_r < -tol or var_i < -tol:
+    if var_r < -_KKT_TOL or var_i < -_KKT_TOL:
         raise ValueError("mean exceeds power: negative variance")
     var_r = max(var_r, 0.0)
     var_i = max(var_i, 0.0)
@@ -194,10 +197,10 @@ def kkt_check(alloc, mu_r, mu_i, P_a, P_d, ch, tol=1e-6):
 
     budget_slack = P_a - (alloc.P_r + alloc.P_i)
     power_slack = p_del - P_d
-    budget_tight = abs(budget_slack) <= tol * max(1.0, abs(P_a))
-    power_tight = abs(power_slack) <= tol * max(1.0, abs(P_d))
-    var_r_tight = var_r <= tol * max(1.0, abs(P_a))
-    var_i_tight = var_i <= tol * max(1.0, abs(P_a))
+    budget_tight = abs(budget_slack) <= _KKT_TOL * max(1.0, abs(P_a))
+    power_tight = abs(power_slack) <= _KKT_TOL * max(1.0, abs(P_d))
+    var_r_tight = var_r <= _KKT_TOL * max(1.0, abs(P_a))
+    var_i_tight = var_i <= _KKT_TOL * max(1.0, abs(P_a))
 
     lam1 = lam2 = zeta_r = zeta_i = 0.0
     if budget_tight:
@@ -218,12 +221,12 @@ def kkt_check(alloc, mu_r, mu_i, P_a, P_d, ch, tol=1e-6):
 
     scale = max(1.0, rate_r, rate_i)
     cs_ok = (
-        budget_slack >= -tol * max(1.0, abs(P_a))
-        and power_slack >= -tol * max(1.0, abs(P_d))
-        and (budget_tight or lam1 <= tol * scale)
-        and (power_tight or lam2 <= tol * scale)
-        and (var_r_tight or zeta_r <= tol * scale)
-        and (var_i_tight or zeta_i <= tol * scale)
+        budget_slack >= -_KKT_TOL * max(1.0, abs(P_a))
+        and power_slack >= -_KKT_TOL * max(1.0, abs(P_d))
+        and (budget_tight or lam1 <= _KKT_TOL * scale)
+        and (power_tight or lam2 <= _KKT_TOL * scale)
+        and (var_r_tight or zeta_r <= _KKT_TOL * scale)
+        and (var_i_tight or zeta_i <= _KKT_TOL * scale)
     )
     return KktReport(lam1, lam2, zeta_r, zeta_i,
                      res_pr, res_pi, res_mu_r, res_mu_i, cs_ok)

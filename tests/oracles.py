@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from swipt.moments import MomentProfile, derived_moments, gaussian_profile
+from swipt.moments import MomentProfile, gaussian_profile
 from swipt.rectenna import coeffs, delivered_power, delivered_power_gaussian_zero_mean
 from swipt.series import SERIES_IDS, _integer, s_coeff
 from swipt.simulate import (
@@ -129,15 +129,22 @@ def q_tilde_intermediate(profile):
     """Same quantity as q_tilde via the complex pseudo-moment route.
 
     (1/3)[Q + 4P(P - |mu|^2) + 2(|P_bar|^2 - Re{P_bar mu*^2}) + 2 Re{T_bar mu*}]
-    — algebraically identical to q_tilde; kept as an independent expression
-    so the expansion can be property-tested.
+    with P, Q the total second and fourth moments, mu the complex mean and
+    P_bar = E[X^2], T_bar = E[|X|^2 X] the pseudo-moments, all built here
+    from the profile — algebraically identical to q_tilde; kept as an
+    independent expression so the expansion can be property-tested.
     """
-    d = derived_moments(profile)
-    mu_c = d.mu.conjugate()
-    mu2 = abs(d.mu) ** 2
-    pseudo = abs(d.P_bar) ** 2 - (d.P_bar * mu_c * mu_c).real
-    third = (d.T_bar * mu_c).real
-    return (d.Q + 4.0 * d.P * (d.P - mu2) + 2.0 * pseudo + 2.0 * third) / 3.0
+    p = profile
+    total_p = p.P_r + p.P_i
+    total_q = p.Q_r + p.Q_i + 2.0 * p.P_r * p.P_i
+    mu = complex(p.mu_r, p.mu_i)
+    p_bar = complex(p.P_r - p.P_i, 2.0 * p.mu_r * p.mu_i)
+    t_bar = complex(p.T_r + p.mu_r * p.P_i, p.P_r * p.mu_i + p.T_i)
+    mu_c = mu.conjugate()
+    mu2 = abs(mu) ** 2
+    pseudo = abs(p_bar) ** 2 - (p_bar * mu_c * mu_c).real
+    third = (t_bar * mu_c).real
+    return (total_q + 4.0 * total_p * (total_p - mu2) + 2.0 * pseudo + 2.0 * third) / 3.0
 
 
 def empirical_profile(samples):

@@ -218,17 +218,7 @@ class TestDerivedMoments:
         d = derived_moments(p)
         assert d.P == pytest.approx(p.P_r + p.P_i)
         assert d.Q == pytest.approx(p.Q_r + p.Q_i + 2 * p.P_r * p.P_i)
-        assert d.mu == complex(0.5, -0.25)
-        assert d.P_bar == pytest.approx(
-            complex(p.P_r - p.P_i, 2 * p.mu_r * p.mu_i))
-        assert d.T_bar == pytest.approx(
-            complex(p.T_r + p.mu_r * p.P_i, p.P_r * p.mu_i + p.T_i))
         assert d.Q_tilde == pytest.approx(q_tilde(p))
-
-    def test_zero_mean_pseudo_moments(self):
-        d = derived_moments(gaussian_profile(0.0, 0.0, 2.0, 1.0))
-        assert d.P_bar == complex(1.0, 0.0)
-        assert d.T_bar == complex(0.0, 0.0)
 
     def test_symmetry_under_swap(self):
         p = gaussian_profile(0.3, 0.8, 1.5, 0.4)

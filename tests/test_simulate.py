@@ -478,17 +478,20 @@ class TestMcDeliveredPowerStructure:
     def test_oversample_two_is_half_rate_bit_for_bit(self):
         """At oversample 2 both phases are on the grid, so the oversampled
         estimator takes no spectrum and returns the half-rate estimate exactly,
-        complex gains and f_w != 1 included."""
+        complex gains and f_w != 1 included.  The half-rate estimator is the
+        oversampled one at 2 points per symbol whatever `oversample` it is
+        given."""
         ch = ChannelParams(h=0.8 + 0.6j, h_tilde=-0.3 + 0.9j, sigma_w2=0.05,
                            f_w=2.5, k2=0.17, k4=19.145)
         dist = GaussianGeneral(0.3, -0.1, 1.0, 0.5)
-        half = mc_delivered_power(dist, ch, 5003, 2, SEED, window=64,
-                                  estimator="half_rate")
         fine = mc_delivered_power(dist, ch, 5003, 2, SEED, window=64,
                                   estimator="oversampled")
-        assert fine.mean.hex() == half.mean.hex()
-        assert fine.std_error.hex() == half.std_error.hex()
-        assert (fine.n_samples, fine.seed) == (half.n_samples, half.seed)
+        for oversample in (2, 3, 8):
+            half = mc_delivered_power(dist, ch, 5003, oversample, SEED, window=64,
+                                      estimator="half_rate")
+            assert fine.mean.hex() == half.mean.hex()
+            assert fine.std_error.hex() == half.std_error.hex()
+            assert (fine.n_samples, fine.seed) == (half.n_samples, half.seed)
 
     def test_estimators_agree_within_combined_se(self):
         dist = GaussianZeroMean(0.7, 0.3)
@@ -602,6 +605,24 @@ class TestMemory:
         peak = self._traced_peak(
             lambda: mc_delivered_power(dist, CH, self.N, 2, SEED, estimator="half_rate"))
         assert peak <= 4 * 16 * self.N
+
+    def test_no_kernel_spectrum_retained(self):
+        """At n = 20 000 and window 5000 the mid-samples take one
+        32768-point frame, whose kernel spectrum is 512 KiB.  Nothing of it,
+        nor of the 10001-tap kernel, is held once the call returns."""
+        dist = GaussianZeroMean(0.5, 0.5)
+        mc_delivered_power(dist, CH, 2000, 8, SEED, window=16)  # imports
+        was_tracing = tracemalloc.is_tracing()
+        if not was_tracing:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            mc_delivered_power(dist, CH, 20_000, 8, SEED, window=5000)
+            retained = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert retained <= 16 * 1024
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
                         reason="reads the resident high-water mark from /proc")
