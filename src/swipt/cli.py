@@ -124,7 +124,7 @@ def from_json(cls, data, what):
 
 # Largest accepted sizes, checked before anything is allocated.  Each keeps
 # the largest run near 2 GB of peak memory at its measured cost per unit
-# (see README's table): 40 B per series term, 1.7 kB per JSON sweep point,
+# (see README's table): 40 B per series term, 1.6 kB per JSON sweep point,
 # 50 B per Monte-Carlo symbol, and 90 B per unit of window on top of that.
 # Memory does not grow with oversample, but time does, linearly.  The 50 B
 # per symbol holds for sizes with a divisor near their square root, as
@@ -450,18 +450,15 @@ def cmd_region(args, config):
     points = rp_region(config.P_a, config.channel, config.sweep.n_points)
     targets = [_target_entry(t, config) for t in config.targets]
     if config.output.format == "csv":
-        text = _csv_text(
-            ("P_r", "P_i", "rate_bits", "delivered_power"),
-            [(pt.allocation.P_r, pt.allocation.P_i, pt.rate, pt.power)
-             for pt in points])
+        text = _csv_text(("P_r", "P_i", "rate_bits", "delivered_power"),
+                         [(pt.P_r, pt.P_i, pt.rate, pt.power) for pt in points])
         _emit(text, config.output.path)
         for entry in targets:
             print(json.dumps(entry), file=sys.stderr)
     else:
         text = _json_text({
-            "region": [{"P_r": pt.allocation.P_r, "P_i": pt.allocation.P_i,
-                        "rate_bits": pt.rate, "delivered_power": pt.power}
-                       for pt in points],
+            "region": [{"P_r": pt.P_r, "P_i": pt.P_i, "rate_bits": pt.rate,
+                        "delivered_power": pt.power} for pt in points],
             "targets": targets,
         })
         _emit(text, config.output.path)

@@ -92,8 +92,10 @@ def coeffs(ch):
 
 def delivered_power(profile, ch):
     """Average harvested power for an i.i.d. input given by its moment profile."""
-    c = coeffs(ch)
-    d = derived_moments(profile)
+    return _power(coeffs(ch), derived_moments(profile))
+
+
+def _power(c, d):
     return (c.alpha * d.Q + c.alpha_tilde * d.Q_tilde
             + (c.beta + c.beta_tilde) * d.P + c.gamma)
 

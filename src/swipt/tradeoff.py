@@ -5,23 +5,24 @@ in the split and the harvested power is a quadratic in it,
 P(P_i) = pdc_max - 4*(alpha + alpha_tilde)*P_i*(P_a - P_i): maximal when
 everything rides one axis and minimal at the even split.  The solver here
 returns the rate-optimal split meeting a power target as the root of that
-quadratic, the sweep tabulates the frontier, and kkt_check solves the
-stationarity rows for the first-order multipliers at a candidate point to
-certify (or falsify) it.
+quadratic, the sweep tabulates the frontier as RPPoint named tuples
+(rate, power, P_r, P_i), and kkt_check solves the stationarity rows for the
+first-order multipliers at a candidate point to certify (or falsify) it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .moments import gaussian_profile
+from .moments import derived_moments, gaussian_profile
 from .rectenna import (
     _gaussian_power,
+    _power,
     coeffs,
-    delivered_power,
     delivered_power_gaussian_zero_mean,
 )
 from .series import _integer
@@ -47,13 +48,18 @@ class Infeasible(ValueError):
     """The requested delivered power exceeds what any allocation can reach."""
 
 
-@dataclass(frozen=True)
-class RPPoint:
-    """One frontier sample: rate (bits/s), delivered power, and the split."""
+class RPPoint(NamedTuple):
+    """One frontier sample: rate (bits/s), delivered power and the split."""
 
     rate: float
     power: float
-    allocation: GaussianZeroMean
+    P_r: float
+    P_i: float
+
+    @property
+    def allocation(self):
+        """The split as the zero-mean Gaussian input it describes."""
+        return GaussianZeroMean(self.P_r, self.P_i)
 
 
 @dataclass(frozen=True)
@@ -138,9 +144,9 @@ def rp_region(P_a, ch, n_points):
     """Frontier sweep from the single-axis corner to the even split.
 
     The n_points splits P_i = linspace(0, P_a/2) are evaluated as arrays, by
-    the rate formula of rate_gaussian and by
-    delivered_power_gaussian_zero_mean, and then listed as RPPoints.  Rate
-    is nondecreasing and power nonincreasing along the returned list.
+    the rate formula of rate_gaussian and by delivered_power_gaussian_zero_mean,
+    and listed as RPPoint tuples (rate, power, P_r, P_i).  Rate is
+    nondecreasing and power nonincreasing along the returned list.
     """
     if not (math.isfinite(P_a) and P_a > 0.0):
         raise ValueError(f"P_a must be positive and finite, got {P_a!r}")
@@ -151,8 +157,7 @@ def rp_region(P_a, ch, n_points):
     p_r = P_a - p_i
     rates = _rate(p_r, p_i, ch).tolist()
     powers = delivered_power_gaussian_zero_mean(p_r, p_i, ch).tolist()
-    return [RPPoint(rate, power, GaussianZeroMean(pr, pi))
-            for rate, power, pr, pi in zip(rates, powers, p_r.tolist(), p_i.tolist())]
+    return list(map(RPPoint._make, zip(rates, powers, p_r.tolist(), p_i.tolist())))
 
 
 def kkt_check(alloc, mu_r, mu_i, P_a, P_d, ch):
@@ -186,7 +191,7 @@ def kkt_check(alloc, mu_r, mu_i, P_a, P_d, ch):
     var_r = max(var_r, 0.0)
     var_i = max(var_i, 0.0)
 
-    p_del = delivered_power(gaussian_profile(mu_r, mu_i, var_r, var_i), ch)
+    p_del = _power(c, derived_moments(gaussian_profile(mu_r, mu_i, var_r, var_i)))
     asum = c.alpha + c.alpha_tilde
     bsum = c.beta + c.beta_tilde
     # d(power)/dP: symmetric in the two dimensions
