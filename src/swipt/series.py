@@ -6,13 +6,13 @@ s_l = sinc(l + 1/2).  Sums of products of these coefficients up to fourth
 order collapse to simple rationals; they are what turns the harvested-power
 time average into a closed form.  This module exposes the closed forms next
 to their truncated-window evaluation so each reduction can be cross-checked
-numerically.
+numerically: one O(N) pass over the window gives all nine partial sums at
+once, and verify reports each next to its constant.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -22,14 +22,8 @@ __all__ = [
     "s_coeff",
     "analytic_value",
     "partial_sum",
-    "evaluate",
     "verify",
 ]
-
-#: T0/T1 are the single sums of s_l and s_l^3; S0/S5 of s_l^2 and s_l^4;
-#: S1, S3, S6 run over pairs with l != k; S4 over distinct triples and
-#: S2 over distinct quadruples.
-SERIES_IDS = ("T0", "T1", "S0", "S1", "S2", "S3", "S4", "S5", "S6")
 
 _ANALYTIC = {
     "T0": 1.0,
@@ -42,6 +36,11 @@ _ANALYTIC = {
     "S5": 1.0 / 3.0,
     "S6": 1.0 / 6.0,
 }
+
+#: T0/T1 are the single sums of s_l and s_l^3; S0/S5 of s_l^2 and s_l^4;
+#: S1, S3, S6 run over pairs with l != k; S4 over distinct triples and
+#: S2 over distinct quadruples.
+SERIES_IDS = tuple(_ANALYTIC)
 
 
 def s_coeff(l):
@@ -61,62 +60,53 @@ def s_coeff(l):
 
 def analytic_value(series_id):
     """Closed-form constant for one of the nine series."""
-    _check_id(series_id)
+    if series_id not in _ANALYTIC:
+        raise ValueError(f"unknown series id {series_id!r}; expected one of {SERIES_IDS}")
     return _ANALYTIC[series_id]
 
 
-@lru_cache(maxsize=8)
-def _power_sums(n_terms):
-    """Single-index sums of s_l^p over l in [-N, N], p = 1..4.
+def _window_sums(n_terms):
+    """All nine partial sums over l in [-n_terms, n_terms], keyed by series id.
 
-    The symmetric window folds through s(-l-1) = s(l): indices pair up as
-    (l, -l-1) for l in [0, N-1] with l = N left over, so each sum is
-    2*sum_{0..N-1} s_l^p + s_N^p.  Keeping both members of each pair inside
-    the window is what makes the alternating p=1 sum converge at O(1/N^2)
-    instead of O(1/N).
+    The single-index sums of s_l^p, p = 1..4, fold through s(-l-1) = s(l):
+    indices pair up as (l, -l-1) for l in [0, N-1] with l = N left over, so
+    each is 2*sum_{0..N-1} s_l^p + s_N^p.  Keeping both members of each pair
+    inside the window is what makes the alternating p=1 sum converge at
+    O(1/N^2) instead of O(1/N).  The multi-index sums are polynomials in
+    those four (S2 by Newton's identity for 24*e4), exact on the finite
+    window and not just in the limit.
     """
-    idx = np.arange(n_terms, dtype=np.int64)
-    s = s_coeff(idx)
-    edge = s_coeff(n_terms)
+    n = _integer(n_terms, "n_terms")
+    if n < 1:
+        raise ValueError("n_terms must be >= 1")
+    s = s_coeff(np.arange(n, dtype=np.int64))
+    edge = s_coeff(n)
     s2 = s * s
-    t0 = 2.0 * s.sum() + edge
-    t1 = 2.0 * (s2 * s).sum() + edge**3
-    s0 = 2.0 * s2.sum() + edge**2
-    s5 = 2.0 * (s2 * s2).sum() + edge**4
-    return float(t0), float(t1), float(s0), float(s5)
+    t0 = float(2.0 * s.sum() + edge)
+    t1 = float(2.0 * (s2 * s).sum() + edge**3)
+    s0 = float(2.0 * s2.sum() + edge**2)
+    s5 = float(2.0 * (s2 * s2).sum() + edge**4)
+    return {
+        "T0": t0,
+        "T1": t1,
+        "S0": s0,
+        "S1": t0 * t0 - s0,
+        "S2": t0**4 - 6.0 * t0 * t0 * s0 + 3.0 * s0 * s0 + 8.0 * t0 * t1 - 6.0 * s5,
+        "S3": s0 * s0 - s5,
+        "S4": (t0 * t0 - s0) * s0 - 2.0 * t0 * t1 + 2.0 * s5,
+        "S5": s5,
+        "S6": t0 * t1 - s5,
+    }
 
 
 def partial_sum(series_id, n_terms):
     """Truncated series over the symmetric index window l in [-n_terms, n_terms].
 
-    Multi-index sums are reduced to polynomials in the single-index window
-    sums.  The reductions are exact on the finite window (not just in the
-    limit), so direct enumeration must agree to rounding error; cost is O(N)
+    Direct enumeration must agree to rounding error; the cost is O(N)
     rather than O(N^4).
     """
-    _check_id(series_id)
-    n = _integer(n_terms, "n_terms")
-    if n < 1:
-        raise ValueError("n_terms must be >= 1")
-    t0, t1, s0, s5 = _power_sums(n)
-    if series_id == "T0":
-        return t0
-    if series_id == "T1":
-        return t1
-    if series_id == "S0":
-        return s0
-    if series_id == "S5":
-        return s5
-    if series_id == "S1":
-        return t0 * t0 - s0
-    if series_id == "S3":
-        return s0 * s0 - s5
-    if series_id == "S6":
-        return t0 * t1 - s5
-    if series_id == "S4":
-        return (t0 * t0 - s0) * s0 - 2.0 * t0 * t1 + 2.0 * s5
-    # S2: distinct-quadruple sum; Newton's identity for 24*e4 in the power sums.
-    return t0**4 - 6.0 * t0 * t0 * s0 + 3.0 * s0 * s0 + 8.0 * t0 * t1 - 6.0 * s5
+    analytic_value(series_id)  # an unknown id fails before the O(N) pass
+    return _window_sums(n_terms)[series_id]
 
 
 @dataclass(frozen=True)
@@ -130,17 +120,12 @@ class SeriesReport:
     abs_error: float
 
 
-def evaluate(series_id, n_terms):
-    """SeriesReport for one series at the given truncation."""
-    value = partial_sum(series_id, n_terms)
-    exact = analytic_value(series_id)
-    return SeriesReport(series_id, exact, value, _integer(n_terms, "n_terms"),
-                        abs(exact - value))
-
-
 def verify(n_terms=1_000_000):
-    """Reports for all nine series at a common truncation."""
-    return [evaluate(sid, n_terms) for sid in SERIES_IDS]
+    """Reports for all nine series at a common truncation, from one pass."""
+    n = _integer(n_terms, "n_terms")
+    sums = _window_sums(n)
+    return [SeriesReport(sid, exact, sums[sid], n, abs(exact - sums[sid]))
+            for sid, exact in _ANALYTIC.items()]
 
 
 def _integer(value, name):
@@ -148,8 +133,3 @@ def _integer(value, name):
     if isinstance(value, (float, np.floating)) and not value.is_integer():
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
-
-
-def _check_id(series_id):
-    if series_id not in _ANALYTIC:
-        raise ValueError(f"unknown series id {series_id!r}; expected one of {SERIES_IDS}")

@@ -456,7 +456,10 @@ def mc_delivered_power(dist, ch, n_symbols, oversample, seed,
     * "oversampled" band-limited-interpolates the interleaved sequence onto
       `oversample` points per symbol and averages there.  oversample >= 4
       keeps the quartic term alias-free; below 2 even the squared envelope
-      aliases, so that is rejected.
+      aliases, so that is rejected.  Above 2 it interpolates between the
+      two phases, which is a model of the waveform only when they see one
+      gain, so h != h_tilde is rejected there (with QPSK at h_tilde = 0.5,
+      1j or -1 its mean misses half-rate's by 11-12%).
     * "half_rate" pools the two sampling phases directly: it is the
       oversampled estimator at 2 points per symbol, whatever `oversample`.
 
@@ -509,6 +512,11 @@ def mc_delivered_power(dist, ch, n_symbols, oversample, seed,
         raise ValueError(f"estimator must be one of {ESTIMATORS}")
     if estimator == "half_rate":
         oversample = 2
+    if oversample > 2 and ch.h_tilde != ch.h:
+        raise ValueError(
+            f"channel.h_tilde must equal channel.h for the oversampled estimator "
+            f"at oversample > 2, got h = {ch.h!r}, h_tilde = {ch.h_tilde!r}; "
+            f"the half_rate estimator takes any channel")
     window = _integer(window, "window")
     if window < 1:
         raise ValueError("window must be >= 1")

@@ -107,6 +107,15 @@ class TestSeriesVerifyCommand:
             for cell in cells[1:]:
                 float(cell)
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_non_finite_or_negative_tolerance_is_a_config_error(self, capsys, tol):
+        code = main(["series-verify", "--n-terms", "500", f"--tol={tol}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.splitlines() == [captured.err.strip()]
+        assert captured.err.startswith("error: tol must be finite")
+
 
 class TestPowerEvalCommand:
     def test_symmetric_gaussian_breakdown(self, capsys):
@@ -204,6 +213,18 @@ class TestMcValidateCommand:
         captured = capsys.readouterr()
         assert code == 2
         assert "error: " in captured.err
+
+    def test_two_gains_at_oversample_eight_is_an_error(self, tmp_path, capsys):
+        """The oversampled estimator interpolates between the phases, which
+        models the waveform only when h = h_tilde."""
+        cfg = write_config(tmp_path, {"mc": {**SMALL_MC["mc"], "oversample": 8},
+                                      "channel": {"h_tilde": 0.5}})
+        code = main(["mc-validate", "--config", cfg])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.splitlines() == [captured.err.strip()]
+        assert captured.err.startswith("error: channel.h_tilde must equal channel.h")
 
     def test_csv_format(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SMALL_MC)
@@ -542,3 +563,41 @@ def test_import_leaves_scipy_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True)
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["series-verify", "--n-terms", "2000", "--tol", "1e-2"], "reports"),
+    (["power-eval", "--dist", SYM_DIST], None),
+    (["mc-validate", "--config", json.dumps(SMALL_MC)], "results"),
+    (["region", "--n-points", "5", "--target", "70"], "region"),
+])
+def test_csv_rows_are_the_json_records(argv, key):
+    """Each command's CSV table is its JSON records, headed by their keys,
+    with every number read back exactly."""
+    document = json.loads(_run_main(argv))
+    records = [document] if key is None else document[key]
+    lines = _run_main([*argv, "--format", "csv"]).splitlines()
+    assert lines[0].split(",") == list(records[0])
+    assert len(lines) == 1 + len(records)
+    for line, record in zip(lines[1:], records):
+        cells = line.split(",")
+        assert {k: type(v)(cell) for (k, v), cell in zip(record.items(), cells)} == record
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_non_finite_output_is_written_nowhere(tmp_path, fmt):
+    """A sweep whose delivered power overflows exits 2 with one error line,
+    and leaves stdout and --out empty.  It runs in a fresh process, where
+    numpy's overflow is a warning, not the error the test suite makes it."""
+    out_path = tmp_path / "region.out"
+    base = [sys.executable, "-m", "swipt.cli", "region", "--n-points", "3",
+            "--config", json.dumps({"P_a": 1e200}), "--format", fmt]
+    for extra in ([], ["--out", str(out_path)]):
+        proc = subprocess.run(base + extra, capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1
+        assert "non-finite" in errors[0]
+        assert "Traceback" not in proc.stderr
+    assert not out_path.exists()

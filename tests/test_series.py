@@ -15,7 +15,6 @@ import pytest
 from swipt.series import (
     SERIES_IDS,
     analytic_value,
-    evaluate,
     partial_sum,
     s_coeff,
     verify,
@@ -161,16 +160,19 @@ class TestWindowedIdentities:
 
 
 class TestReports:
-    def test_evaluate_fields(self):
-        report = evaluate("S3", 128)
-        assert report.id == "S3"
-        assert report.analytic == pytest.approx(2.0 / 3.0)
-        assert report.truncation == 128
-        assert report.abs_error == abs(report.analytic - report.partial_sum)
-        d = dataclasses.asdict(report)
-        assert set(d) == {"id", "analytic", "partial_sum", "truncation", "abs_error"}
-
     def test_verify_covers_all_series(self):
         reports = verify(10_000)
         assert [r.id for r in reports] == list(SERIES_IDS)
         assert all(r.abs_error < 1e-2 for r in reports)
+        for r in reports:
+            assert r.analytic == analytic_value(r.id)
+            assert r.truncation == 10_000
+            assert r.abs_error == abs(r.analytic - r.partial_sum)
+            assert set(dataclasses.asdict(r)) == {
+                "id", "analytic", "partial_sum", "truncation", "abs_error"}
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 1000, 12345])
+    def test_verify_rows_are_the_partial_sums(self, n):
+        """One pass gives every series the value partial_sum gives it alone."""
+        for r in verify(n):
+            assert r.partial_sum == partial_sum(r.id, n)

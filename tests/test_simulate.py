@@ -20,7 +20,7 @@ import pytest
 
 from swipt.moments import gaussian_profile, q_tilde
 from swipt.rectenna import ChannelParams
-from swipt.series import evaluate, partial_sum
+from swipt.series import partial_sum
 from swipt.simulate import (
     ESTIMATORS,
     FiniteConstellation,
@@ -174,7 +174,7 @@ class TestIntegralArguments:
         lambda d: half_sample_value(np.ones(10, dtype=complex), 5.5, 3),
         lambda d: half_sample_value(np.ones(10, dtype=complex), 5, 3.5),
         lambda d: partial_sum("T0", 2.9),
-        lambda d: evaluate("T0", 2.9),
+        lambda d: partial_sum("S2", 2.9),
         lambda d: rp_region(1.0, CH, 2.9),
     ])
     def test_non_integral_rejected(self, call):
@@ -187,7 +187,7 @@ class TestIntegralArguments:
         assert (mc_delivered_power(d, CH, 2e3, 4.0, float(SEED), window=16.0)
                 == mc_delivered_power(d, CH, 2000, 4, SEED, window=16))
         assert mc_q_tilde(d, 2e2, 16.0, SEED) == mc_q_tilde(d, 200, 16, SEED)
-        assert evaluate("T0", 2e2) == evaluate("T0", 200)
+        assert partial_sum("S2", 2e2) == partial_sum("S2", 200)
         assert rp_region(1.0, CH, 3.0) == rp_region(1.0, CH, 3)
 
 
@@ -505,9 +505,11 @@ class TestMcDeliveredPowerStructure:
 
 class TestSingleGridOracle:
     """The per-phase oversampled estimator against the whole-grid oracle:
-    the same interpolant at the same points, so only rounding differs."""
+    the same interpolant at the same points, so only rounding differs.  The
+    channel is complex with h = h_tilde, the only channel the estimator
+    takes above oversample 2."""
 
-    CH = ChannelParams(h=0.8 + 0.6j, h_tilde=-0.3 + 0.9j, sigma_w2=0.05,
+    CH = ChannelParams(h=0.8 + 0.6j, h_tilde=0.8 + 0.6j, sigma_w2=0.05,
                        f_w=2.5, k2=0.17, k4=19.145)
 
     @pytest.mark.parametrize("dist", [GaussianZeroMean(0.7, 0.3),
@@ -522,6 +524,24 @@ class TestSingleGridOracle:
         assert ours.seed == ref.seed
         assert ours.mean == pytest.approx(ref.mean, rel=1e-12, abs=0.0)
         assert ours.std_error == pytest.approx(ref.std_error, rel=1e-12, abs=0.0)
+
+
+class TestOversampledChannel:
+    """Above oversample 2 the oversampled estimator interpolates between
+    the two sampling phases, so it takes only channels with h = h_tilde."""
+
+    @pytest.mark.parametrize("h_tilde", [0.5, 1j, -1.0, -0.3 + 0.9j])
+    def test_rejects_two_gains(self, h_tilde):
+        ch = ChannelParams(h=1.0, h_tilde=h_tilde)
+        for oversample in (3, 4, 8):
+            with pytest.raises(ValueError, match="channel.h_tilde"):
+                mc_delivered_power(FiniteConstellation.qpsk(), ch, 2000, oversample,
+                                   SEED, window=16)
+        for estimator in ESTIMATORS:  # oversample 2 interpolates nothing
+            mc_delivered_power(FiniteConstellation.qpsk(), ch, 2000, 2, SEED,
+                               window=16, estimator=estimator)
+        mc_delivered_power(FiniteConstellation.qpsk(), ch, 2000, 8, SEED,
+                           window=16, estimator="half_rate")
 
 
 class TestMcDeliveredPowerValues:
