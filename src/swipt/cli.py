@@ -14,6 +14,11 @@ Every subcommand writes through one writer, _write.  All numbers are
 emitted at full double precision so a fixed seed reproduces output
 byte-for-byte; a non-finite number is an error, not output.  Exit codes:
 0 all checks passed, 1 a validation check failed, 2 usage or config error.
+
+Only moments and rectenna, which import no numpy, load with this module;
+series-verify, mc-validate and region each import the array module they
+run (series, simulate, tradeoff).  power-eval, --dump-config and a config
+error thus finish without importing numpy, in about half the time.
 """
 
 from __future__ import annotations
@@ -27,27 +32,17 @@ import typing
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .moments import MomentProfile, derived_moments
-from .rectenna import ChannelParams, coeffs, delivered_power
-from .series import _integer
-from .series import verify as verify_series
-from .simulate import (
-    ESTIMATORS,
+from .moments import (
     FiniteConstellation,
     GaussianGeneral,
     GaussianZeroMean,
+    MomentProfile,
     _check_seed,
-    closed_form_delivered_power,
-    mc_delivered_power,
+    _integer,
+    derived_moments,
     profile_of,
 )
-from .tradeoff import (
-    Infeasible,
-    kkt_check,
-    optimal_allocation,
-    rate_gaussian,
-    rp_region,
-)
+from .rectenna import ChannelParams, _gaussian_power, coeffs, delivered_power
 
 __all__ = [
     "ConfigError",
@@ -197,6 +192,16 @@ class RunConfig:
     def __post_init__(self):
         if not (math.isfinite(self.P_a) and self.P_a > 0.0):
             raise ConfigError(f"P_a must be positive and finite, got {self.P_a!r}")
+        # The largest delivered power of any split of P_a, all of it on one
+        # axis, must be a float: past that every power overflows.  A gain
+        # past 1e154 already overflows its |h|**2.
+        try:
+            corner = _gaussian_power(coeffs(self.channel), self.P_a, 0.0)
+        except OverflowError:
+            corner = math.inf
+        if not math.isfinite(corner):
+            raise ConfigError(
+                f"P_a = {self.P_a!r} overflows the delivered power on this channel")
         targets = tuple(float(t) for t in self.targets)
         if not all(math.isfinite(t) for t in targets):
             raise ConfigError(f"targets must be finite, got {list(targets)!r}")
@@ -383,7 +388,9 @@ def cmd_series_verify(args, config):
     _at_most(args.n_terms, _MAX_N_TERMS, "n_terms")
     if not (math.isfinite(args.tol) and args.tol >= 0.0):
         raise ConfigError(f"tol must be finite and nonnegative, got {args.tol!r}")
-    reports = [dataclasses.asdict(r) for r in verify_series(args.n_terms)]
+    from .series import verify
+
+    reports = [dataclasses.asdict(r) for r in verify(args.n_terms)]
     failed = [r["id"] for r in reports if r["abs_error"] > args.tol]
     _write(config, {"n_terms": args.n_terms, "tolerance": args.tol,
                     "reports": reports, "failed": failed, "pass": not failed},
@@ -407,6 +414,8 @@ def cmd_power_eval(args, config):
 
 
 def cmd_mc_validate(args, config):
+    from .simulate import ESTIMATORS, closed_form_delivered_power, mc_delivered_power
+
     if args.dist is not None:
         dist = distribution_from_spec(_load_json(args.dist, "distribution"))
     else:
@@ -432,26 +441,27 @@ def cmd_mc_validate(args, config):
     return 0 if ok else 1
 
 
-def _target_entry(P_d, config):
-    try:
-        alloc = optimal_allocation(config.P_a, P_d, config.channel)
-    except Infeasible as exc:
-        return {"P_d": P_d, "feasible": False, "error": str(exc)}
-    report = kkt_check(alloc, 0.0, 0.0, config.P_a, P_d, config.channel)
-    return {
-        "P_d": P_d,
-        "feasible": True,
-        "P_r": alloc.P_r,
-        "P_i": alloc.P_i,
-        "rate_bits": rate_gaussian(alloc, config.channel),
-        "delivered_power": delivered_power(profile_of(alloc), config.channel),
-        "kkt": dataclasses.asdict(report),
-    }
-
-
 def cmd_region(args, config):
+    from .tradeoff import Infeasible, kkt_check, optimal_allocation, rate_gaussian, rp_region
+
+    def target_entry(P_d):
+        try:
+            alloc = optimal_allocation(config.P_a, P_d, config.channel)
+        except Infeasible as exc:
+            return {"P_d": P_d, "feasible": False, "error": str(exc)}
+        report = kkt_check(alloc, 0.0, 0.0, config.P_a, P_d, config.channel)
+        return {
+            "P_d": P_d,
+            "feasible": True,
+            "P_r": alloc.P_r,
+            "P_i": alloc.P_i,
+            "rate_bits": rate_gaussian(alloc, config.channel),
+            "delivered_power": delivered_power(profile_of(alloc), config.channel),
+            "kkt": dataclasses.asdict(report),
+        }
+
     points = rp_region(config.P_a, config.channel, config.sweep.n_points)
-    targets = [_target_entry(t, config) for t in config.targets]
+    targets = [target_entry(t) for t in config.targets]
     # A generator: the CSV table holds no dict per point.
     region = ({"P_r": pt.P_r, "P_i": pt.P_i, "rate_bits": pt.rate,
                "delivered_power": pt.power} for pt in points)

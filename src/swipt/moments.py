@@ -1,22 +1,30 @@
-"""Channel-input moment profiles and derived fourth-moment quantities.
+"""Channel inputs, their moment profiles and derived fourth-moment quantities.
 
 Average harvested power for an i.i.d. input depends on the distribution only
 through eight numbers: the first through fourth moments of the real and
-imaginary parts.  MomentProfile carries those, validates the inequalities any
-real distribution must satisfy, and the functions here derive the aggregate
-quantities the power formula consumes — including the fourth moment of the
-half-sample interpolated stream, which mixes many symbols and therefore
-differs from the on-sample fourth moment.
+imaginary parts.  The input distributions live here with profile_of, their
+exact profiles.  MomentProfile carries the eight moments, validates the
+inequalities any real distribution must satisfy, and the functions here
+derive the aggregate quantities the power formula consumes — including the
+fourth moment of the half-sample interpolated stream, which mixes many
+symbols and therefore differs from the on-sample fourth moment.
+
+Everything here is plain Python: the closed forms need no numpy.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 __all__ = [
+    "GaussianZeroMean",
+    "GaussianGeneral",
+    "FiniteConstellation",
     "MomentProfile",
     "DerivedMoments",
+    "profile_of",
     "q_tilde",
     "derived_moments",
     "gaussian_profile",
@@ -126,3 +134,101 @@ def gaussian_profile(mu_r, mu_i, var_r, var_i):
     p_r, t_r, q_r = one_dim(mu_r, var_r)
     p_i, t_i, q_i = one_dim(mu_i, var_i)
     return MomentProfile(mu_r, mu_i, p_r, p_i, t_r, t_i, q_r, q_i)
+
+
+@dataclass(frozen=True)
+class GaussianZeroMean:
+    """Zero-mean complex Gaussian, independent parts with powers P_r, P_i."""
+
+    P_r: float
+    P_i: float
+
+    def __post_init__(self):
+        # chained comparisons: as cheap as a sign check, and false for NaN
+        if not (0.0 <= self.P_r < math.inf and 0.0 <= self.P_i < math.inf):
+            raise ValueError("powers must be finite and nonnegative")
+
+
+@dataclass(frozen=True)
+class GaussianGeneral:
+    """Complex Gaussian with per-dimension means and variances."""
+
+    mu_r: float
+    mu_i: float
+    var_r: float
+    var_i: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.mu_r) and math.isfinite(self.mu_i)):
+            raise ValueError("means must be finite")
+        if not (0.0 <= self.var_r < math.inf and 0.0 <= self.var_i < math.inf):
+            raise ValueError("variances must be finite and nonnegative")
+
+
+@dataclass(frozen=True)
+class FiniteConstellation:
+    """Discrete symbol set with probabilities summing to one; probs None
+    means equiprobable."""
+
+    points: tuple[complex, ...]
+    probs: tuple[float, ...] | None = None
+
+    def __post_init__(self):
+        pts = tuple(complex(p) for p in self.points)
+        if not pts:
+            raise ValueError("constellation must be nonempty")
+        pr = ((1.0 / len(pts),) * len(pts) if self.probs is None
+              else tuple(float(p) for p in self.probs))
+        if len(pts) != len(pr):
+            raise ValueError("points and probs must have the same length")
+        if not all(math.isfinite(p.real) and math.isfinite(p.imag) for p in pts):
+            raise ValueError("points must be finite")
+        if not all(0.0 <= p < math.inf for p in pr):
+            raise ValueError("probabilities must be finite and nonnegative")
+        if abs(math.fsum(pr) - 1.0) > 1e-12:
+            raise ValueError("probabilities must sum to 1")
+        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "probs", pr)
+
+    @staticmethod
+    def qpsk():
+        """Unit-power four-point constellation (+-1 +-1j)/sqrt(2), equiprobable."""
+        r = 1.0 / math.sqrt(2.0)
+        points = (complex(r, r), complex(r, -r), complex(-r, r), complex(-r, -r))
+        return FiniteConstellation(points)
+
+
+def profile_of(dist):
+    """Exact moment profile of an input distribution."""
+    if isinstance(dist, GaussianZeroMean):
+        return gaussian_profile(0.0, 0.0, dist.P_r, dist.P_i)
+    if isinstance(dist, GaussianGeneral):
+        return gaussian_profile(dist.mu_r, dist.mu_i, dist.var_r, dist.var_i)
+    if isinstance(dist, FiniteConstellation):
+        re = [x.real for x in dist.points]
+        im = [x.imag for x in dist.points]
+
+        def moment(part, k):
+            return sum(p * x**k for p, x in zip(dist.probs, part))
+
+        return MomentProfile(
+            moment(re, 1), moment(im, 1), moment(re, 2), moment(im, 2),
+            moment(re, 3), moment(im, 3), moment(re, 4), moment(im, 4))
+    raise TypeError(f"unsupported input distribution: {dist!r}")
+
+
+def _integer(value, name):
+    # Integral floats such as 2e5 are accepted; 2.9 is an error, not 2.
+    # numpy registers its scalar types with numbers, so np.float32(2.5) is
+    # an error too.
+    if (isinstance(value, numbers.Real) and not isinstance(value, numbers.Integral)
+            and not float(value).is_integer()):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _check_seed(seed):
+    seed = _integer(seed, "seed")
+    if not 0 <= seed < (1 << 64):
+        raise ValueError("seed must be an unsigned 64-bit integer")
+    return seed

@@ -9,9 +9,9 @@ the moments module, weighted by channel-dependent coefficients.
 from __future__ import annotations
 
 import cmath
+import math
+import numbers
 from dataclasses import dataclass
-
-import numpy as np
 
 from .moments import derived_moments
 
@@ -109,12 +109,21 @@ def _gaussian_power(c, P_r, P_i):
             + (c.beta + c.beta_tilde) * (P_r + P_i) + c.gamma)
 
 
+def _finite_nonnegative(x):
+    # Whether every value of x, a number or a numpy array, lies in [0, inf);
+    # NaN fails both comparisons.  An array is read through its own min and
+    # max, so this module needs no numpy.
+    if isinstance(x, numbers.Real):
+        return 0.0 <= x < math.inf
+    return x.size == 0 or (0.0 <= x.min() and x.max() < math.inf)
+
+
 def delivered_power_gaussian_zero_mean(P_r, P_i, ch):
     """delivered_power of a zero-mean Gaussian input with per-dimension
     powers P_r, P_i (scalars or arrays), without building its profile.
 
     Agrees with delivered_power on the matching profile to rounding error.
     """
-    if np.any(P_r < 0.0) or np.any(P_i < 0.0):
-        raise ValueError("powers must be nonnegative")
+    if not (_finite_nonnegative(P_r) and _finite_nonnegative(P_i)):
+        raise ValueError("powers must be finite and nonnegative")
     return _gaussian_power(coeffs(ch), P_r, P_i)

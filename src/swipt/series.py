@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .moments import _integer
+
 __all__ = [
     "SERIES_IDS",
     "SeriesReport",
@@ -127,9 +129,3 @@ def verify(n_terms=1_000_000):
     return [SeriesReport(sid, exact, sums[sid], n, abs(exact - sums[sid]))
             for sid, exact in _ANALYTIC.items()]
 
-
-def _integer(value, name):
-    # Integral floats such as 2e5 are accepted; 2.9 is an error, not 2.
-    if isinstance(value, (float, np.floating)) and not value.is_integer():
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)

@@ -2,7 +2,8 @@
 
 Synthesizes the band-limited baseband signal from i.i.d. symbols, applies
 the two-phase channel gains and per-sample noise, and estimates harvested
-power and mid-sample fourth moments empirically.
+power and mid-sample fourth moments empirically.  The input distributions
+and profile_of are defined in swipt.moments and exported here too.
 
 Reproducibility contract: every 1000-draw block gets its own counter-based
 substream (Philox keyed by seed XOR a hash of the purpose tag and block
@@ -18,9 +19,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .moments import MomentProfile, derived_moments, gaussian_profile
+from .moments import (
+    FiniteConstellation,
+    GaussianGeneral,
+    GaussianZeroMean,
+    _check_seed,
+    _integer,
+    derived_moments,
+    profile_of,
+)
 from .rectenna import delivered_power
-from .series import _integer, s_coeff
+from .series import s_coeff
 
 __all__ = [
     "GaussianZeroMean",
@@ -79,95 +88,6 @@ def _substreams(seed, domain, n_blocks):
             fresh["state"]["key"][0] = _substream_key(seed, domain, b)
             gen.bit_generator.state = fresh
         yield gen
-
-
-def _check_seed(seed):
-    seed = _integer(seed, "seed")
-    if not 0 <= seed < (1 << 64):
-        raise ValueError("seed must be an unsigned 64-bit integer")
-    return seed
-
-
-@dataclass(frozen=True)
-class GaussianZeroMean:
-    """Zero-mean complex Gaussian, independent parts with powers P_r, P_i."""
-
-    P_r: float
-    P_i: float
-
-    def __post_init__(self):
-        # chained comparisons: as cheap as a sign check, and false for NaN
-        if not (0.0 <= self.P_r < math.inf and 0.0 <= self.P_i < math.inf):
-            raise ValueError("powers must be finite and nonnegative")
-
-
-@dataclass(frozen=True)
-class GaussianGeneral:
-    """Complex Gaussian with per-dimension means and variances."""
-
-    mu_r: float
-    mu_i: float
-    var_r: float
-    var_i: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.mu_r) and math.isfinite(self.mu_i)):
-            raise ValueError("means must be finite")
-        if not (0.0 <= self.var_r < math.inf and 0.0 <= self.var_i < math.inf):
-            raise ValueError("variances must be finite and nonnegative")
-
-
-@dataclass(frozen=True)
-class FiniteConstellation:
-    """Discrete symbol set with probabilities summing to one; probs None
-    means equiprobable."""
-
-    points: tuple[complex, ...]
-    probs: tuple[float, ...] | None = None
-
-    def __post_init__(self):
-        pts = tuple(complex(p) for p in self.points)
-        if not pts:
-            raise ValueError("constellation must be nonempty")
-        pr = ((1.0 / len(pts),) * len(pts) if self.probs is None
-              else tuple(float(p) for p in self.probs))
-        if len(pts) != len(pr):
-            raise ValueError("points and probs must have the same length")
-        if not all(math.isfinite(p.real) and math.isfinite(p.imag) for p in pts):
-            raise ValueError("points must be finite")
-        if not all(0.0 <= p < math.inf for p in pr):
-            raise ValueError("probabilities must be finite and nonnegative")
-        if abs(math.fsum(pr) - 1.0) > 1e-12:
-            raise ValueError("probabilities must sum to 1")
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "probs", pr)
-
-    @staticmethod
-    def qpsk():
-        """Unit-power four-point constellation (+-1 +-1j)/sqrt(2), equiprobable."""
-        r = 1.0 / math.sqrt(2.0)
-        points = (complex(r, r), complex(r, -r), complex(-r, r), complex(-r, -r))
-        return FiniteConstellation(points)
-
-
-def profile_of(dist):
-    """Exact moment profile of an input distribution."""
-    if isinstance(dist, GaussianZeroMean):
-        return gaussian_profile(0.0, 0.0, dist.P_r, dist.P_i)
-    if isinstance(dist, GaussianGeneral):
-        return gaussian_profile(dist.mu_r, dist.mu_i, dist.var_r, dist.var_i)
-    if isinstance(dist, FiniteConstellation):
-        pts = np.asarray(dist.points)
-        pr = np.asarray(dist.probs)
-
-        def moment(part, p):
-            return float(np.sum(pr * part**p))
-
-        re, im = pts.real, pts.imag
-        return MomentProfile(
-            moment(re, 1), moment(im, 1), moment(re, 2), moment(im, 2),
-            moment(re, 3), moment(im, 3), moment(re, 4), moment(im, 4))
-    raise TypeError(f"unsupported input distribution: {dist!r}")
 
 
 def _draw(dist, n, seed, domain):

@@ -18,15 +18,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .moments import derived_moments, gaussian_profile
+from .moments import GaussianZeroMean, _integer, derived_moments, gaussian_profile
 from .rectenna import (
     _gaussian_power,
     _power,
     coeffs,
     delivered_power_gaussian_zero_mean,
 )
-from .series import _integer
-from .simulate import GaussianZeroMean
 
 __all__ = [
     "Infeasible",

@@ -5,6 +5,8 @@ derived route to a quantity the package computes in closed form.
 
 * brute_force_double_sum — direct enumeration of the distinct-index series;
 * q_tilde_intermediate — the mid-sample fourth moment via pseudo-moments;
+* constellation_profile — a finite constellation's moments by numpy's
+  vectorised power and pairwise sum;
 * empirical_profile, swapped — sample moments of drawn symbols, and a
   profile with its real and imaginary dimensions exchanged;
 * bisection_allocation — the tradeoff split by bisection on the power residual;
@@ -26,9 +28,9 @@ import math
 
 import numpy as np
 
-from swipt.moments import MomentProfile, gaussian_profile
+from swipt.moments import MomentProfile, _integer, gaussian_profile
 from swipt.rectenna import coeffs, delivered_power, delivered_power_gaussian_zero_mean
-from swipt.series import SERIES_IDS, _integer, s_coeff
+from swipt.series import SERIES_IDS, s_coeff
 from swipt.simulate import (
     _DOM_NOISE_EVEN,
     _DOM_NOISE_ODD,
@@ -145,6 +147,21 @@ def q_tilde_intermediate(profile):
     pseudo = abs(p_bar) ** 2 - (p_bar * mu_c * mu_c).real
     third = (t_bar * mu_c).real
     return (total_q + 4.0 * total_p * (total_p - mu2) + 2.0 * pseudo + 2.0 * third) / 3.0
+
+
+def constellation_profile(dist):
+    """Moment profile of a FiniteConstellation as sum(p * x**k) over numpy
+    arrays of its probabilities and of the real or imaginary parts."""
+    pts = np.asarray(dist.points)
+    pr = np.asarray(dist.probs)
+
+    def moment(part, k):
+        return float(np.sum(pr * part**k))
+
+    re, im = pts.real, pts.imag
+    return MomentProfile(
+        moment(re, 1), moment(im, 1), moment(re, 2), moment(im, 2),
+        moment(re, 3), moment(im, 3), moment(re, 4), moment(im, 4))
 
 
 def empirical_profile(samples):

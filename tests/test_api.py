@@ -1,7 +1,8 @@
 """Public surface: each module's __all__ names real objects, the only
-zero-mean Gaussian type is simulate.GaussianZeroMean (no PowerAllocation),
-test oracles live in tests/, the JSON format is read by the CLI alone, and
-the bare package import stays free of numpy."""
+zero-mean Gaussian type is moments.GaussianZeroMean (no PowerAllocation),
+which simulate exports too, test oracles live in tests/, the JSON format is
+read by the CLI alone, the bare package import stays free of numpy, and so
+do the CLI runs that build no array."""
 
 import ast
 import importlib
@@ -57,3 +58,44 @@ def test_package_import_is_numpy_free():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True)
     assert proc.stdout.split() == ["0.1.0", "False"]
+
+
+def test_one_zero_mean_gaussian_type():
+    """The input types live in moments; simulate and tradeoff use them."""
+    from swipt import moments, simulate, tradeoff
+
+    for name in ("GaussianZeroMean", "GaussianGeneral", "FiniteConstellation",
+                 "profile_of"):
+        assert getattr(simulate, name) is getattr(moments, name)
+        assert name in simulate.__all__
+    assert tradeoff.RPPoint(0.0, 0.0, 1.0, 0.0).allocation == moments.GaussianZeroMean(1.0, 0.0)
+
+
+_PROFILE = ('{"mu_r": 0, "mu_i": 0, "P_r": 0.5, "P_i": 0.5, '
+            '"T_r": 0, "T_i": 0, "Q_r": 0.75, "Q_i": 0.75}')
+_CONSTELLATION = '{"kind": "constellation", "points": [[1, 0], [0, -1]], "probs": [0.25, 0.75]}'
+
+
+@pytest.mark.parametrize("argv, code", [
+    pytest.param(["power-eval", "--profile", _PROFILE], 0, id="power-eval-profile"),
+    pytest.param(["power-eval", "--dist", '{"kind": "qpsk"}'], 0, id="power-eval-qpsk"),
+    pytest.param(["power-eval", "--dist", _CONSTELLATION], 0, id="power-eval-constellation"),
+    pytest.param(["power-eval", "--dist", '{"kind": "gaussian", "mu_r": 0.5, "var_i": 0.25}'],
+                 0, id="power-eval-gaussian"),
+    pytest.param(["region", "--dump-config"], 0, id="dump-config"),
+    pytest.param(["region", "--config", '{"P_a": -1}'], 2, id="config-error"),
+    pytest.param(["mc-validate", "--config", '{"P_a": 1e154}'], 2, id="overflowing-budget"),
+])
+def test_cli_runs_without_arrays_leave_numpy_unloaded(argv, code):
+    """power-eval, --dump-config and a config error finish, in a fresh
+    process, with numpy never imported."""
+    script = ("import sys\n"
+              "from swipt.cli import main\n"
+              "code = main(sys.argv[1:])\n"
+              "print('numpy' in sys.modules, file=sys.stderr)\n"
+              "sys.exit(code)\n")
+    proc = subprocess.run([sys.executable, "-c", script, *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == code
+    assert proc.stderr.splitlines()[-1] == "False"
+    assert (proc.stdout != "") == (code == 0)

@@ -21,6 +21,7 @@ from swipt.cli import (
     _MAX_N_TERMS,
     _MAX_OVERSAMPLE,
     _MAX_WINDOW,
+    ConfigError,
     McConfig,
     OutputConfig,
     RunConfig,
@@ -503,20 +504,34 @@ FLAG_FIELDS = {"--seed": ("mc", "seed"), "--format": ("output", "format"),
                "--out": ("output", "path"), "--n-points": ("sweep", "n_points")}
 
 
-def run_configs(path):
-    return st.builds(
-        RunConfig,
-        channel=st.builds(ChannelParams, h=GAINS, h_tilde=GAINS, sigma_w2=POSITIVE,
-                          f_w=POSITIVE, k2=NONNEGATIVE, k4=NONNEGATIVE),
-        P_a=POSITIVE,
-        targets=st.lists(FINITE, max_size=3).map(tuple),
-        mc=st.builds(McConfig, n_symbols=st.integers(max_value=_MAX_N_SYMBOLS),
-                     oversample=st.integers(max_value=_MAX_OVERSAMPLE),
-                     window=st.integers(max_value=_MAX_WINDOW),
-                     seed=st.integers(0, 2**64 - 1)),
-        sweep=st.builds(SweepConfig, n_points=st.integers(max_value=_MAX_N_POINTS)),
-        output=st.builds(OutputConfig, format=st.sampled_from(["json", "csv"]),
-                         path=st.none() | st.just(path)))
+CHANNELS = st.builds(ChannelParams, h=GAINS, h_tilde=GAINS, sigma_w2=POSITIVE,
+                     f_w=POSITIVE, k2=NONNEGATIVE, k4=NONNEGATIVE)
+
+
+def _budget_is_valid(channel, P_a):
+    # RunConfig's own rule: the delivered power at P_a must not overflow.
+    try:
+        RunConfig(channel=channel, P_a=P_a)
+    except ConfigError:
+        return False
+    return True
+
+
+@st.composite
+def run_configs(draw, path):
+    # A channel valid at the smallest budget, then a budget valid on it.
+    channel = draw(CHANNELS.filter(lambda ch: _budget_is_valid(ch, 5e-324)))
+    return RunConfig(
+        channel=channel,
+        P_a=draw(POSITIVE.filter(lambda P_a: _budget_is_valid(channel, P_a))),
+        targets=draw(st.lists(FINITE, max_size=3).map(tuple)),
+        mc=draw(st.builds(McConfig, n_symbols=st.integers(max_value=_MAX_N_SYMBOLS),
+                          oversample=st.integers(max_value=_MAX_OVERSAMPLE),
+                          window=st.integers(max_value=_MAX_WINDOW),
+                          seed=st.integers(0, 2**64 - 1))),
+        sweep=draw(st.builds(SweepConfig, n_points=st.integers(max_value=_MAX_N_POINTS))),
+        output=draw(st.builds(OutputConfig, format=st.sampled_from(["json", "csv"]),
+                              path=st.none() | st.just(path))))
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
@@ -586,12 +601,12 @@ def test_csv_rows_are_the_json_records(argv, key):
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_non_finite_output_is_written_nowhere(tmp_path, fmt):
-    """A sweep whose delivered power overflows exits 2 with one error line,
-    and leaves stdout and --out empty.  It runs in a fresh process, where
-    numpy's overflow is a warning, not the error the test suite makes it."""
-    out_path = tmp_path / "region.out"
-    base = [sys.executable, "-m", "swipt.cli", "region", "--n-points", "3",
-            "--config", json.dumps({"P_a": 1e200}), "--format", fmt]
+    """A valid profile whose delivered power overflows exits 2 with one
+    error line, and leaves stdout and --out empty, in a fresh process."""
+    out_path = tmp_path / "power.out"
+    profile = dataclasses.asdict(gaussian_profile(0.0, 0.0, 1.0, 1.0))
+    base = [sys.executable, "-m", "swipt.cli", "power-eval",
+            "--profile", json.dumps({**profile, "Q_r": 1e308}), "--format", fmt]
     for extra in ([], ["--out", str(out_path)]):
         proc = subprocess.run(base + extra, capture_output=True, text=True)
         assert proc.returncode == 2
@@ -601,3 +616,30 @@ def test_non_finite_output_is_written_nowhere(tmp_path, fmt):
         assert "non-finite" in errors[0]
         assert "Traceback" not in proc.stderr
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("document, code", [
+    ({"P_a": 1e153}, 0),
+    ({"P_a": 1e154}, 2),
+    ({"P_a": 1e200}, 2),
+    ({"channel": {"h": 1e40}, "P_a": 1e73}, 0),
+    ({"channel": {"h": 1e40}, "P_a": 1e74}, 2),
+    ({"channel": {"h": 1e200}, "P_a": 1.0}, 2),
+], ids=repr)
+def test_budget_overflowing_the_delivered_power_is_a_config_error(document, code):
+    """P_a is bounded per channel: the single-axis delivered power, the
+    largest of any split, must be finite.  Past that, one error line names
+    P_a, ahead of any numpy warning or a moment the overflow reaches first.
+    A fresh process, where numpy's overflow would be a warning."""
+    proc = subprocess.run([sys.executable, "-m", "swipt.cli", "region", "--n-points", "3",
+                           "--target", "1", "--config", json.dumps(document)],
+                          capture_output=True, text=True)
+    assert proc.returncode == code
+    if code == 0:
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout)["targets"][0]["feasible"]
+    else:
+        assert proc.stdout == ""
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("error: P_a = ")
+        assert "overflows the delivered power" in line

@@ -8,21 +8,27 @@ against its alternate pseudo-moment formulation on randomized valid profiles.
 import dataclasses
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swipt.cli import from_json
 from swipt.moments import (
+    FiniteConstellation,
     MomentProfile,
+    _integer,
     derived_moments,
     gaussian_profile,
+    profile_of,
     q_tilde,
 )
 from swipt.series import partial_sum, s_coeff
-from swipt.simulate import FiniteConstellation, draw_symbols, profile_of
+from swipt.simulate import draw_symbols
 
-from oracles import empirical_profile, q_tilde_intermediate, swapped
+from oracles import constellation_profile, empirical_profile, q_tilde_intermediate, swapped
 
 
 QPSK_PROFILE = MomentProfile(0.0, 0.0, 0.5, 0.5, 0.0, 0.0, 0.25, 0.25)
@@ -226,3 +232,54 @@ class TestDerivedMoments:
         assert ds.P == pytest.approx(d.P)
         assert ds.Q == pytest.approx(d.Q)
         assert ds.Q_tilde == pytest.approx(d.Q_tilde)
+
+
+class TestInteger:
+    """_integer reads numpy scalars through the numbers ABCs numpy registers
+    with, so a numpy float with a fraction is an error, not truncated."""
+
+    @pytest.mark.parametrize("value", [np.float32(2.5), np.float16(0.5), 2.9,
+                                       math.nan, math.inf], ids=repr)
+    def test_fractional_or_non_finite_rejected(self, value):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            _integer(value, "n")
+
+    @pytest.mark.parametrize("value, expected", [
+        (np.float64(2e5), 200_000), (np.int64(7), 7), (np.float32(3.0), 3),
+        (2e5, 200_000), (7, 7),
+    ], ids=repr)
+    def test_integral_accepted(self, value, expected):
+        result = _integer(value, "n")
+        assert result == expected and type(result) is int
+
+
+# Parts away from the underflow range, where a relative bound means little.
+_PARTS = st.floats(-4.0, 4.0).filter(lambda v: v == 0.0 or abs(v) >= 1e-3)
+
+
+class TestConstellationMoments:
+    """profile_of's plain-Python sums of p*x**k against numpy's (oracle)."""
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(symbols=st.lists(st.tuples(_PARTS, _PARTS, st.floats(1e-3, 1.0)),
+                            min_size=1, max_size=16),
+           equiprobable=st.booleans())
+    def test_moments_match_numpy_sums(self, symbols, equiprobable):
+        points = [complex(re, im) for re, im, _ in symbols]
+        weights = [w for _, _, w in symbols]
+        probs = None if equiprobable else [w / math.fsum(weights) for w in weights]
+        dist = FiniteConstellation(points, probs)
+        got = dataclasses.astuple(profile_of(dist))
+        want = dataclasses.astuple(constellation_profile(dist))
+        for i, (g, w) in enumerate(zip(got, want)):
+            k = 1 + i // 2  # fields run mu_r, mu_i, P_r, P_i, T_r, ..., Q_i
+            part = [x.imag if i % 2 else x.real for x in dist.points]
+            scale = math.fsum(abs(p * x**k) for p, x in zip(dist.probs, part))
+            assert abs(g - w) <= 4.0 * sys.float_info.epsilon * scale
+
+    @pytest.mark.parametrize("dist", [FiniteConstellation.qpsk(),
+                                      FiniteConstellation((1.0, -1.0))], ids=["qpsk", "bpsk"])
+    def test_qpsk_and_bpsk_bit_equal_to_numpy_sums(self, dist):
+        def bits(profile):
+            return [v.hex() for v in dataclasses.astuple(profile)]
+        assert bits(profile_of(dist)) == bits(constellation_profile(dist))

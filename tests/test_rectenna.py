@@ -7,6 +7,7 @@ Anchor values were computed independently with exact rational arithmetic
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from swipt.cli import from_json
@@ -152,3 +153,21 @@ class TestDeliveredPower:
     def test_zero_mean_shortcut_rejects_negative_power(self):
         with pytest.raises(ValueError):
             delivered_power_gaussian_zero_mean(-0.1, 0.5, reference_channel())
+
+    @pytest.mark.parametrize("bad", [-0.1, math.nan, math.inf, -math.inf], ids=repr)
+    def test_zero_mean_shortcut_rejects_non_finite_or_negative_power(self, bad):
+        """One check covers numbers and arrays, in either dimension, with
+        GaussianZeroMean's message."""
+        ch = reference_channel()
+        for P_r, P_i in [(bad, 0.5), (0.5, bad),
+                         (np.array([0.5, bad]), np.array([0.5, 0.5])),
+                         (np.array([0.5, 0.5]), np.array([bad, 0.5]))]:
+            with pytest.raises(ValueError, match="powers must be finite and nonnegative"):
+                delivered_power_gaussian_zero_mean(P_r, P_i, ch)
+
+    def test_zero_mean_shortcut_takes_arrays(self):
+        ch = reference_channel()
+        p_r, p_i = np.array([1.0, 0.7, 0.5]), np.array([0.0, 0.3, 0.5])
+        powers = delivered_power_gaussian_zero_mean(p_r, p_i, ch)
+        assert powers.tolist() == [delivered_power_gaussian_zero_mean(a, b, ch)
+                                   for a, b in zip(p_r.tolist(), p_i.tolist())]

@@ -164,6 +164,7 @@ class TestIntegralArguments:
         lambda d: draw_symbols(d, 3, math.nan),
         lambda d: draw_symbols(d, 3, math.inf),
         lambda d: mc_delivered_power(d, CH, 2000.5, 4, SEED),
+        lambda d: mc_delivered_power(d, CH, np.float32(2.5), 4, SEED),
         lambda d: mc_delivered_power(d, CH, 2000, 4.5, SEED),
         lambda d: mc_delivered_power(d, CH, 2000, 4, SEED, window=16.5),
         lambda d: mc_delivered_power(d, CH, 2000, 4, 1.5),
