@@ -193,12 +193,8 @@ class RunConfig:
         if not (math.isfinite(self.P_a) and self.P_a > 0.0):
             raise ConfigError(f"P_a must be positive and finite, got {self.P_a!r}")
         # The largest delivered power of any split of P_a, all of it on one
-        # axis, must be a float: past that every power overflows.  A gain
-        # past 1e154 already overflows its |h|**2.
-        try:
-            corner = _gaussian_power(coeffs(self.channel), self.P_a, 0.0)
-        except OverflowError:
-            corner = math.inf
+        # axis, must be a float: past that every power overflows.
+        corner = _gaussian_power(coeffs(self.channel), self.P_a, 0.0)
         if not math.isfinite(corner):
             raise ConfigError(
                 f"P_a = {self.P_a!r} overflows the delivered power on this channel")

@@ -9,8 +9,6 @@ the moments module, weighted by channel-dependent coefficients.
 from __future__ import annotations
 
 import cmath
-import math
-import numbers
 from dataclasses import dataclass
 
 from .moments import derived_moments
@@ -20,7 +18,6 @@ __all__ = [
     "RectennaCoeffs",
     "coeffs",
     "delivered_power",
-    "delivered_power_gaussian_zero_mean",
 ]
 
 
@@ -49,6 +46,12 @@ class ChannelParams:
             value = getattr(self, name)
             if not cmath.isfinite(value):
                 raise ValueError(f"channel field {name} must be finite, got {value!r}")
+        for name in ("h", "h_tilde", "sigma_w2"):
+            try:  # as coeffs squares it
+                abs(getattr(self, name)) ** 2
+            except OverflowError:
+                raise ValueError(f"channel field {name} overflows when squared, "
+                                 f"got {getattr(self, name)!r}") from None
         if not self.sigma_w2 > 0.0:
             raise ValueError("sigma_w2 must be positive")
         if not self.f_w > 0.0:
@@ -104,26 +107,8 @@ def _gaussian_power(c, P_r, P_i):
     # Zero-mean Gaussian input under coefficients c: the on-sample and
     # mid-sample fourth moments coincide at 3*(P_r^2 + P_i^2) + 2*P_r*P_i,
     # so the delivered power is one quadratic in the per-dimension powers.
+    # Elementwise, so the sweep passes arrays; callers check the powers.
     fourth = 3.0 * (P_r * P_r + P_i * P_i) + 2.0 * P_r * P_i
     return ((c.alpha + c.alpha_tilde) * fourth
             + (c.beta + c.beta_tilde) * (P_r + P_i) + c.gamma)
 
-
-def _finite_nonnegative(x):
-    # Whether every value of x, a number or a numpy array, lies in [0, inf);
-    # NaN fails both comparisons.  An array is read through its own min and
-    # max, so this module needs no numpy.
-    if isinstance(x, numbers.Real):
-        return 0.0 <= x < math.inf
-    return x.size == 0 or (0.0 <= x.min() and x.max() < math.inf)
-
-
-def delivered_power_gaussian_zero_mean(P_r, P_i, ch):
-    """delivered_power of a zero-mean Gaussian input with per-dimension
-    powers P_r, P_i (scalars or arrays), without building its profile.
-
-    Agrees with delivered_power on the matching profile to rounding error.
-    """
-    if not (_finite_nonnegative(P_r) and _finite_nonnegative(P_i)):
-        raise ValueError("powers must be finite and nonnegative")
-    return _gaussian_power(coeffs(ch), P_r, P_i)

@@ -2,8 +2,9 @@
 
 Synthesizes the band-limited baseband signal from i.i.d. symbols, applies
 the two-phase channel gains and per-sample noise, and estimates harvested
-power and mid-sample fourth moments empirically.  The input distributions
-and profile_of are defined in swipt.moments and exported here too.
+power and mid-sample fourth moments empirically (the integer-time one is
+a test oracle).  The input distributions and profile_of are defined in
+swipt.moments and exported here too.
 
 Reproducibility contract: every 1000-draw block gets its own counter-based
 substream (Philox keyed by seed XOR a hash of the purpose tag and block
@@ -25,7 +26,6 @@ from .moments import (
     GaussianZeroMean,
     _check_seed,
     _integer,
-    derived_moments,
     profile_of,
 )
 from .rectenna import delivered_power
@@ -41,8 +41,6 @@ __all__ = [
     "draw_symbols",
     "mc_q_tilde",
     "mc_delivered_power",
-    "mc_even_fourth_moment",
-    "fourth_moment_even",
     "closed_form_delivered_power",
 ]
 
@@ -395,7 +393,8 @@ def mc_delivered_power(dist, ch, n_symbols, oversample, seed,
 
     A guard of `window` symbols at each end is excluded from the averages so
     sinc truncation and the periodic wrap of the interpolation never touch
-    them.  The standard error comes from means over 1000-symbol blocks.
+    them.  The standard error comes from means over 1000-symbol blocks.  A
+    value past the float range raises ValueError, not a non-finite estimate.
 
     Memory: the mid-samples come from overlap-save frames of a few
     thousand points, transformed a few frames at a time, and the channel
@@ -445,46 +444,27 @@ def mc_delivered_power(dist, ch, n_symbols, oversample, seed,
     if hi - lo < 10:
         raise ValueError("n_symbols too small for the edge guard")
 
+    block_len, n_blocks = _blocking(hi - lo)
+    hi = lo + n_blocks * block_len  # whole blocks only
+
     # The channel outputs are formed in place in the buffers of the symbols
     # and the mid-samples, which saves a length-n temporary.  numpy rounds
     # some in-place complex products differently from out-of-place ones, so
     # the estimates' last digits depend on this form.
-    y_even = draw_symbols(dist, n, seed)
-    y_mid = _half_samples(y_even, window)
-    y_even *= ch.h
-    y_even += _draw_noise(n, ch.sigma_w2, seed, _DOM_NOISE_EVEN)
-    y_mid *= ch.h_tilde
-    y_mid += _draw_noise(n, ch.sigma_w2, seed, _DOM_NOISE_ODD)
-
-    block_len, n_blocks = _blocking(hi - lo)
-    hi = lo + n_blocks * block_len  # whole blocks only
-
-    block_means = _phase_block_sums(y_even, y_mid, ch, oversample, lo, hi, block_len)
-    block_means /= oversample * ch.f_w
-    return _estimate(block_means, n_blocks * block_len * oversample, seed)
-
-
-def mc_even_fourth_moment(dist, ch, n_symbols, seed):
-    """Empirical fourth moment E[|Y_k|^4] of the integer-time channel output."""
-    n = _integer(n_symbols, "n_symbols")
-    if n < 1000:
-        raise ValueError("n_symbols must be >= 1000")
-    seed = _check_seed(seed)
-    symbols = draw_symbols(dist, n, seed)
-    y = ch.h * symbols + _draw_noise(n, ch.sigma_w2, seed, _DOM_NOISE_EVEN)
-    power = y.real**2 + y.imag**2
-    block_len, n_blocks = _blocking(n)
-    vals = (power * power)[:n_blocks * block_len]
-    block_means = vals.reshape(n_blocks, block_len).mean(axis=1)
-    return _estimate(block_means, n_blocks * block_len, seed)
-
-
-def fourth_moment_even(profile, ch):
-    """Closed-form E[|Y_k|^4] at integer sample times:
-    |h|^4*Q + 4*sigma_w2*|h|^2*P + 2*sigma_w2^2."""
-    d = derived_moments(profile)
-    h2 = abs(ch.h) ** 2
-    return h2 * h2 * d.Q + 4.0 * ch.sigma_w2 * h2 * d.P + 2.0 * ch.sigma_w2**2
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            y_even = draw_symbols(dist, n, seed)
+            y_mid = _half_samples(y_even, window)
+            y_even *= ch.h
+            y_even += _draw_noise(n, ch.sigma_w2, seed, _DOM_NOISE_EVEN)
+            y_mid *= ch.h_tilde
+            y_mid += _draw_noise(n, ch.sigma_w2, seed, _DOM_NOISE_ODD)
+            block_means = _phase_block_sums(y_even, y_mid, ch, oversample, lo, hi,
+                                            block_len)
+            block_means /= oversample * ch.f_w
+            return _estimate(block_means, n_blocks * block_len * oversample, seed)
+        except FloatingPointError as exc:
+            raise ValueError(f"the estimate leaves the float range ({exc})") from None
 
 
 def closed_form_delivered_power(dist, ch):

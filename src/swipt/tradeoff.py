@@ -3,9 +3,10 @@
 Along the full-budget line P_r + P_i = P_a the information rate is concave
 in the split and the harvested power is a quadratic in it,
 P(P_i) = pdc_max - 4*(alpha + alpha_tilde)*P_i*(P_a - P_i): maximal when
-everything rides one axis and minimal at the even split.  The solver here
-returns the rate-optimal split meeting a power target as the root of that
-quadratic, the sweep tabulates the frontier as RPPoint named tuples
+everything rides one axis and minimal at the even split.  The endpoints,
+the solver and the sweep all evaluate rectenna's one zero-mean Gaussian
+quadratic: the solver returns the rate-optimal split meeting a power target
+as its root, the sweep tabulates the frontier as RPPoint named tuples
 (rate, power, P_r, P_i), and kkt_check solves the stationarity rows for the
 first-order multipliers at a candidate point to certify (or falsify) it.
 """
@@ -19,12 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .moments import GaussianZeroMean, _integer, derived_moments, gaussian_profile
-from .rectenna import (
-    _gaussian_power,
-    _power,
-    coeffs,
-    delivered_power_gaussian_zero_mean,
-)
+from .rectenna import _gaussian_power, _power, coeffs
 
 __all__ = [
     "Infeasible",
@@ -142,9 +138,9 @@ def rp_region(P_a, ch, n_points):
     """Frontier sweep from the single-axis corner to the even split.
 
     The n_points splits P_i = linspace(0, P_a/2) are evaluated as arrays, by
-    the rate formula of rate_gaussian and by delivered_power_gaussian_zero_mean,
-    and listed as RPPoint tuples (rate, power, P_r, P_i).  Rate is
-    nondecreasing and power nonincreasing along the returned list.
+    the rate formula of rate_gaussian and the power quadratic of pdc_max and
+    pdc_min (the first and last powers), and listed as RPPoint tuples (rate,
+    power, P_r, P_i).  Rate is nondecreasing and power nonincreasing along it.
     """
     if not (math.isfinite(P_a) and P_a > 0.0):
         raise ValueError(f"P_a must be positive and finite, got {P_a!r}")
@@ -154,7 +150,7 @@ def rp_region(P_a, ch, n_points):
     p_i = np.linspace(0.0, 0.5 * P_a, n_points)
     p_r = P_a - p_i
     rates = _rate(p_r, p_i, ch).tolist()
-    powers = delivered_power_gaussian_zero_mean(p_r, p_i, ch).tolist()
+    powers = _gaussian_power(coeffs(ch), p_r, p_i).tolist()
     return list(map(RPPoint._make, zip(rates, powers, p_r.tolist(), p_i.tolist())))
 
 

@@ -9,11 +9,15 @@ derived route to a quantity the package computes in closed form.
   vectorised power and pairwise sum;
 * empirical_profile, swapped — sample moments of drawn symbols, and a
   profile with its real and imaginary dimensions exchanged;
-* bisection_allocation — the tradeoff split by bisection on the power residual;
+* bisection_allocation — the tradeoff split by bisection on the power
+  residual, each power from the general moment-profile path;
 * kkt_check_nnls — the first-order certificate with its multipliers fitted
   by nonnegative least squares (SciPy);
 * draw_per_block — the symbol and noise streams drawn block by block, each
   block from its own freshly built substream generator;
+* mc_even_fourth_moment, fourth_moment_even — the integer-time channel
+  output's fourth moment E[|Y_k|^4], estimated over 1000-symbol blocks and
+  in closed form;
 * half_sample_value — one mid-sample value as a direct dot product of the
   symbols with the truncated sinc kernel;
 * half_samples_one_fft — every mid-sample value by one real-FFT
@@ -28,8 +32,14 @@ import math
 
 import numpy as np
 
-from swipt.moments import MomentProfile, _integer, gaussian_profile
-from swipt.rectenna import coeffs, delivered_power, delivered_power_gaussian_zero_mean
+from swipt.moments import (
+    MomentProfile,
+    _check_seed,
+    _integer,
+    derived_moments,
+    gaussian_profile,
+)
+from swipt.rectenna import coeffs, delivered_power
 from swipt.series import SERIES_IDS, s_coeff
 from swipt.simulate import (
     _DOM_NOISE_EVEN,
@@ -40,6 +50,7 @@ from swipt.simulate import (
     McEstimate,
     _blocking,
     _draw_noise,
+    _estimate,
     _integrand,
     _kernel,
     _substream,
@@ -204,7 +215,7 @@ def bisection_allocation(P_a, P_d, ch, tol=1e-9):
     best_pi, best_res = lo, power_corner - P_d
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        res = delivered_power_gaussian_zero_mean(P_a - mid, mid, ch) - P_d
+        res = delivered_power(gaussian_profile(0.0, 0.0, P_a - mid, mid), ch) - P_d
         if abs(res) < abs(best_res):
             best_pi, best_res = mid, res
         if res > 0.0:
@@ -320,6 +331,28 @@ def draw_per_block(dist, n, seed, domain, block=1000):
         out[start:start + count] = _draw_block(dist, block, gen)[:count]
     return out
 
+
+def mc_even_fourth_moment(dist, ch, n_symbols, seed):
+    """Empirical fourth moment E[|Y_k|^4] of the integer-time channel output."""
+    n = _integer(n_symbols, "n_symbols")
+    if n < 1000:
+        raise ValueError("n_symbols must be >= 1000")
+    seed = _check_seed(seed)
+    symbols = draw_symbols(dist, n, seed)
+    y = ch.h * symbols + _draw_noise(n, ch.sigma_w2, seed, _DOM_NOISE_EVEN)
+    power = y.real**2 + y.imag**2
+    block_len, n_blocks = _blocking(n)
+    vals = (power * power)[:n_blocks * block_len]
+    block_means = vals.reshape(n_blocks, block_len).mean(axis=1)
+    return _estimate(block_means, n_blocks * block_len, seed)
+
+
+def fourth_moment_even(profile, ch):
+    """Closed-form E[|Y_k|^4] at integer sample times:
+    |h|^4*Q + 4*sigma_w2*|h|^2*P + 2*sigma_w2^2."""
+    d = derived_moments(profile)
+    h2 = abs(ch.h) ** 2
+    return h2 * h2 * d.Q + 4.0 * ch.sigma_w2 * h2 * d.P + 2.0 * ch.sigma_w2**2
 
 def half_sample_value(symbols, k, window):
     """Mid-sample value X((k+1/2)/f_w) from the symbols with |n - k| <= window.

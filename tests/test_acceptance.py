@@ -18,7 +18,12 @@ import time
 import numpy as np
 
 import _gate
-from oracles import bisection_allocation, brute_force_double_sum
+from oracles import (
+    bisection_allocation,
+    brute_force_double_sum,
+    fourth_moment_even,
+    mc_even_fourth_moment,
+)
 
 from swipt.moments import q_tilde
 from swipt.rectenna import ChannelParams, coeffs
@@ -29,9 +34,7 @@ from swipt.simulate import (
     GaussianGeneral,
     GaussianZeroMean,
     closed_form_delivered_power,
-    fourth_moment_even,
     mc_delivered_power,
-    mc_even_fourth_moment,
     mc_q_tilde,
     profile_of,
 )

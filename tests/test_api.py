@@ -31,7 +31,8 @@ def test_oracles_live_in_tests(name):
     """Code only tests use lives in tests/oracles.py, not in the package."""
     module = importlib.import_module(f"swipt.{name}")
     for attr in ("half_sample_value", "half_samples_one_fft", "_pad_spectrum", "_upsample",
-                 "empirical_profile"):
+                 "empirical_profile", "mc_even_fourth_moment", "fourth_moment_even",
+                 "delivered_power_gaussian_zero_mean", "_finite_nonnegative"):
         assert not hasattr(module, attr), f"swipt.{name}.{attr}"
     assert not hasattr(MomentProfile, "swapped")
 

@@ -227,6 +227,24 @@ class TestMcValidateCommand:
         assert captured.err.splitlines() == [captured.err.strip()]
         assert captured.err.startswith("error: channel.h_tilde must equal channel.h")
 
+    @pytest.mark.parametrize("P_a, code", [(1e76, 0), (1e77, 2), (1e153, 2)], ids=repr)
+    def test_estimate_past_the_float_range_is_one_error_line(self, P_a, code):
+        """At 1e77 the block means' spread overflows, at 1e153 the integrand
+        itself: either exits 2 with one error line and no numpy warning.  A
+        fresh process, where numpy's overflow would be a warning."""
+        document = {"P_a": P_a, "mc": {"n_symbols": 2000, "oversample": 8}}
+        proc = subprocess.run([sys.executable, "-m", "swipt.cli", "mc-validate",
+                               "--config", json.dumps(document)],
+                              capture_output=True, text=True)
+        assert proc.returncode == code
+        if code == 0:
+            assert proc.stderr == ""
+            assert json.loads(proc.stdout)["pass"]
+        else:
+            assert proc.stdout == ""
+            [line] = proc.stderr.splitlines()
+            assert line.startswith("error: the estimate leaves the float range")
+
     def test_csv_format(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SMALL_MC)
         code = main(["mc-validate", "--config", cfg, "--format", "csv"])
@@ -504,8 +522,17 @@ FLAG_FIELDS = {"--seed": ("mc", "seed"), "--format": ("output", "format"),
                "--out": ("output", "path"), "--n-points": ("sweep", "n_points")}
 
 
-CHANNELS = st.builds(ChannelParams, h=GAINS, h_tilde=GAINS, sigma_w2=POSITIVE,
-                     f_w=POSITIVE, k2=NONNEGATIVE, k4=NONNEGATIVE)
+def _channel(**fields):
+    # None where ChannelParams refuses the fields: a gain or noise variance
+    # whose square overflows.
+    try:
+        return ChannelParams(**fields)
+    except ValueError:
+        return None
+
+
+CHANNELS = st.builds(_channel, h=GAINS, h_tilde=GAINS, sigma_w2=POSITIVE, f_w=POSITIVE,
+                     k2=NONNEGATIVE, k4=NONNEGATIVE).filter(lambda ch: ch is not None)
 
 
 def _budget_is_valid(channel, P_a):
@@ -624,7 +651,6 @@ def test_non_finite_output_is_written_nowhere(tmp_path, fmt):
     ({"P_a": 1e200}, 2),
     ({"channel": {"h": 1e40}, "P_a": 1e73}, 0),
     ({"channel": {"h": 1e40}, "P_a": 1e74}, 2),
-    ({"channel": {"h": 1e200}, "P_a": 1.0}, 2),
 ], ids=repr)
 def test_budget_overflowing_the_delivered_power_is_a_config_error(document, code):
     """P_a is bounded per channel: the single-axis delivered power, the
@@ -643,3 +669,16 @@ def test_budget_overflowing_the_delivered_power_is_a_config_error(document, code
         [line] = proc.stderr.splitlines()
         assert line.startswith("error: P_a = ")
         assert "overflows the delivered power" in line
+
+
+def test_gain_squaring_past_the_float_range_is_a_config_error():
+    """ChannelParams itself refuses such a gain, and the one error line names
+    the gain, not P_a.  A fresh process, as in the budget test above."""
+    proc = subprocess.run([sys.executable, "-m", "swipt.cli", "region", "--n-points", "3",
+                           "--target", "1", "--config",
+                           json.dumps({"channel": {"h": 1e200}, "P_a": 1.0})],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error: channel field h overflows when squared")

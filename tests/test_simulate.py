@@ -28,9 +28,7 @@ from swipt.simulate import (
     GaussianZeroMean,
     closed_form_delivered_power,
     draw_symbols,
-    fourth_moment_even,
     mc_delivered_power,
-    mc_even_fourth_moment,
     mc_q_tilde,
     profile_of,
 )
@@ -53,8 +51,10 @@ from swipt.tradeoff import rp_region
 
 from oracles import (
     draw_per_block,
+    fourth_moment_even,
     half_sample_value,
     half_samples_one_fft,
+    mc_even_fourth_moment,
     mc_oversampled_single_grid,
     upsample,
 )
@@ -676,6 +676,8 @@ class TestMemory:
 
 
 class TestEvenFourthMoment:
+    """The integer-time fourth-moment oracles agree with each other."""
+
     def test_closed_form_anchor(self):
         p = gaussian_profile(0.0, 0.0, 0.5, 0.5)
         # |h|^4*Q + 4*sigma^2*|h|^2*P + 2*sigma^4 = 2 + 4e-4 + 2e-8

@@ -12,12 +12,7 @@ import numpy as np
 import pytest
 
 from swipt.moments import gaussian_profile
-from swipt.rectenna import (
-    ChannelParams,
-    coeffs,
-    delivered_power,
-    delivered_power_gaussian_zero_mean,
-)
+from swipt.rectenna import ChannelParams, _gaussian_power, coeffs, delivered_power
 from swipt.simulate import GaussianZeroMean
 from swipt.tradeoff import (
     Infeasible,
@@ -89,17 +84,13 @@ class TestEndpoints:
     def test_min_is_even_split_power(self):
         for ch in self.channels():
             for P_a in self.BUDGETS:
-                half = np.array([0.5 * P_a])
-                direct = delivered_power_gaussian_zero_mean(half, half, ch)
-                assert pdc_min(P_a, ch) == direct[0]
+                assert pdc_min(P_a, ch) == rp_region(P_a, ch, 2)[-1].power
         assert pdc_min(1.0, CH) == pytest.approx(57.79799157435, rel=1e-11)
 
     def test_max_is_corner_power(self):
         for ch in self.channels():
             for P_a in self.BUDGETS:
-                direct = delivered_power_gaussian_zero_mean(
-                    np.array([P_a]), np.array([0.0]), ch)
-                assert pdc_max(P_a, ch) == direct[0]
+                assert pdc_max(P_a, ch) == rp_region(P_a, ch, 2)[0].power
         assert pdc_max(1.0, CH) == pytest.approx(86.51549157435, rel=1e-11)
 
     def test_budget_scaling(self):
@@ -127,7 +118,7 @@ class TestOptimalAllocation:
         alloc = optimal_allocation(1.0, target, CH)
         assert alloc.P_r >= alloc.P_i
         assert alloc.P_r + alloc.P_i == pytest.approx(1.0, rel=1e-12)
-        back = delivered_power_gaussian_zero_mean(alloc.P_r, alloc.P_i, CH)
+        back = delivered_power(gaussian_profile(0.0, 0.0, alloc.P_r, alloc.P_i), CH)
         assert back == pytest.approx(target, rel=1e-9)
 
     def test_interior_target_frozen_split(self):
@@ -186,8 +177,15 @@ class TestRegion:
     def test_points_are_self_consistent(self):
         for pt in rp_region(2.0, CH, 7):
             assert pt.rate == pytest.approx(rate_gaussian(pt.allocation, CH))
-            assert pt.power == pytest.approx(delivered_power_gaussian_zero_mean(
-                pt.allocation.P_r, pt.allocation.P_i, CH))
+            assert pt.power == pytest.approx(delivered_power(
+                gaussian_profile(0.0, 0.0, pt.P_r, pt.P_i), CH))
+
+    def test_powers_are_the_solvers_quadratic(self):
+        """The sweep, the endpoints and the solver evaluate one quadratic."""
+        for ch in TestEndpoints.channels():
+            c = coeffs(ch)
+            for pt in rp_region(0.37, ch, 51):
+                assert pt.power == _gaussian_power(c, pt.P_r, pt.P_i)
 
     @pytest.mark.parametrize("P_a", [1.0, 0.37, 2.5])
     def test_points_are_named_tuples_of_the_split(self, P_a):
@@ -275,7 +273,7 @@ class TestKktCheck:
         """Interior budget slack pins lambda1 at zero; no nonnegative lambda2
         can then cancel a positive marginal rate, so the residual survives."""
         alloc = GaussianZeroMean(0.5, 0.3)
-        own_power = delivered_power_gaussian_zero_mean(0.5, 0.3, CH)
+        own_power = delivered_power(gaussian_profile(0.0, 0.0, 0.5, 0.3), CH)
         report = kkt_check(alloc, 0.0, 0.0, 1.0, own_power, CH)
         assert report.lambda1 == 0.0
         a = 2e4
