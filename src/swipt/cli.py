@@ -42,7 +42,7 @@ from .moments import (
     derived_moments,
     profile_of,
 )
-from .rectenna import ChannelParams, _gaussian_power, coeffs, delivered_power
+from .rectenna import ChannelParams, _corner_power, coeffs, delivered_power
 
 __all__ = [
     "ConfigError",
@@ -135,11 +135,6 @@ _MAX_WINDOW = 5_000_000
 _MAX_OVERSAMPLE = 1024
 
 
-def _at_most(value, limit, name):
-    if value > limit:
-        raise ConfigError(f"{name} must be at most {limit}, got {value}")
-
-
 @dataclass(frozen=True)
 class McConfig:
     """Monte-Carlo run sizing and seeding."""
@@ -151,9 +146,9 @@ class McConfig:
 
     def __post_init__(self):
         _check_seed(self.seed)
-        _at_most(self.n_symbols, _MAX_N_SYMBOLS, "mc.n_symbols")
-        _at_most(self.oversample, _MAX_OVERSAMPLE, "mc.oversample")
-        _at_most(self.window, _MAX_WINDOW, "mc.window")
+        _integer(self.n_symbols, "mc.n_symbols", hi=_MAX_N_SYMBOLS)
+        _integer(self.oversample, "mc.oversample", hi=_MAX_OVERSAMPLE)
+        _integer(self.window, "mc.window", hi=_MAX_WINDOW)
 
 
 @dataclass(frozen=True)
@@ -163,7 +158,7 @@ class SweepConfig:
     n_points: int = 101
 
     def __post_init__(self):
-        _at_most(self.n_points, _MAX_N_POINTS, "sweep.n_points")
+        _integer(self.n_points, "sweep.n_points", hi=_MAX_N_POINTS)
 
 
 @dataclass(frozen=True)
@@ -190,14 +185,10 @@ class RunConfig:
     output: OutputConfig = OutputConfig()
 
     def __post_init__(self):
-        if not (math.isfinite(self.P_a) and self.P_a > 0.0):
-            raise ConfigError(f"P_a must be positive and finite, got {self.P_a!r}")
-        # The largest delivered power of any split of P_a, all of it on one
-        # axis, must be a float: past that every power overflows.
-        corner = _gaussian_power(coeffs(self.channel), self.P_a, 0.0)
-        if not math.isfinite(corner):
-            raise ConfigError(
-                f"P_a = {self.P_a!r} overflows the delivered power on this channel")
+        try:
+            _corner_power(coeffs(self.channel), self.P_a)
+        except ValueError as exc:
+            raise ConfigError(exc) from None
         targets = tuple(float(t) for t in self.targets)
         if not all(math.isfinite(t) for t in targets):
             raise ConfigError(f"targets must be finite, got {list(targets)!r}")
@@ -381,7 +372,7 @@ def _resolved_config(args):
 
 
 def cmd_series_verify(args, config):
-    _at_most(args.n_terms, _MAX_N_TERMS, "n_terms")
+    _integer(args.n_terms, "n_terms", hi=_MAX_N_TERMS)
     if not (math.isfinite(args.tol) and args.tol >= 0.0):
         raise ConfigError(f"tol must be finite and nonnegative, got {args.tol!r}")
     from .series import verify

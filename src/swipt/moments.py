@@ -217,14 +217,19 @@ def profile_of(dist):
     raise TypeError(f"unsupported input distribution: {dist!r}")
 
 
-def _integer(value, name):
-    # Integral floats such as 2e5 are accepted; 2.9 is an error, not 2.
-    # numpy registers its scalar types with numbers, so np.float32(2.5) is
-    # an error too.
+def _integer(value, name, lo=-math.inf, hi=math.inf):
+    # The one size rule: an integer from lo to hi.  Integral floats such as
+    # 2e5 are accepted; 2.9 is an error, not 2.  numpy registers its scalar
+    # types with numbers, so np.float32(2.5) is an error too.
     if (isinstance(value, numbers.Real) and not isinstance(value, numbers.Integral)
             and not float(value).is_integer()):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    value = int(value)
+    if value < lo:
+        raise ValueError(f"{name} must be >= {lo}")
+    if value > hi:
+        raise ValueError(f"{name} must be at most {hi}, got {value}")
+    return value
 
 
 def _check_seed(seed):

@@ -68,7 +68,8 @@ def analytic_value(series_id):
 
 
 def _window_sums(n_terms):
-    """All nine partial sums over l in [-n_terms, n_terms], keyed by series id.
+    """All nine partial sums over l in [-n_terms, n_terms], keyed by series id,
+    for an integer n_terms >= 1.
 
     The single-index sums of s_l^p, p = 1..4, fold through s(-l-1) = s(l):
     indices pair up as (l, -l-1) for l in [0, N-1] with l = N left over, so
@@ -78,11 +79,8 @@ def _window_sums(n_terms):
     those four (S2 by Newton's identity for 24*e4), exact on the finite
     window and not just in the limit.
     """
-    n = _integer(n_terms, "n_terms")
-    if n < 1:
-        raise ValueError("n_terms must be >= 1")
-    s = s_coeff(np.arange(n, dtype=np.int64))
-    edge = s_coeff(n)
+    s = s_coeff(np.arange(n_terms, dtype=np.int64))
+    edge = s_coeff(n_terms)
     s2 = s * s
     t0 = float(2.0 * s.sum() + edge)
     t1 = float(2.0 * (s2 * s).sum() + edge**3)
@@ -108,7 +106,7 @@ def partial_sum(series_id, n_terms):
     rather than O(N^4).
     """
     analytic_value(series_id)  # an unknown id fails before the O(N) pass
-    return _window_sums(n_terms)[series_id]
+    return _window_sums(_integer(n_terms, "n_terms", 1))[series_id]
 
 
 @dataclass(frozen=True)
@@ -124,7 +122,7 @@ class SeriesReport:
 
 def verify(n_terms=1_000_000):
     """Reports for all nine series at a common truncation, from one pass."""
-    n = _integer(n_terms, "n_terms")
+    n = _integer(n_terms, "n_terms", 1)
     sums = _window_sums(n)
     return [SeriesReport(sid, exact, sums[sid], n, abs(exact - sums[sid]))
             for sid, exact in _ANALYTIC.items()]

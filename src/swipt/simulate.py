@@ -16,6 +16,7 @@ symbol stream are even stable under changes of the total length.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,10 +122,7 @@ def _draw(dist, n, seed, domain):
 
 def draw_symbols(dist, n, seed):
     """n i.i.d. symbols, deterministic in (dist, n, seed) and prefix-stable in n."""
-    n = _integer(n, "n")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return _draw(dist, n, _check_seed(seed), _DOM_SYMBOLS)
+    return _draw(dist, _integer(n, "n", 1), _check_seed(seed), _DOM_SYMBOLS)
 
 
 def _kernel(window):
@@ -179,6 +177,16 @@ def _estimate(values, n_used, seed):
     return McEstimate(float(values.mean()), float(std_error), n_used, seed)
 
 
+@contextmanager
+def _float_range():
+    # Overflow or an invalid operation raises ValueError, not a numpy warning.
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            yield
+        except FloatingPointError as exc:
+            raise ValueError(f"the estimate leaves the float range ({exc})") from None
+
+
 def mc_q_tilde(dist, n_blocks, window, seed):
     """Monte-Carlo estimate of the mid-sample fourth moment E[|X~|^4].
 
@@ -186,19 +194,16 @@ def mc_q_tilde(dist, n_blocks, window, seed):
     the same block layout as draw_symbols under its own purpose tag, and cuts
     them into consecutive blocks of 2*window+1.  Each block contributes one
     |X~|^4 value, so block values are i.i.d. and the reported standard error
-    is exact.
+    is exact.  A value past the float range raises ValueError.
     """
-    n_blocks = _integer(n_blocks, "n_blocks")
-    if n_blocks < 100:
-        raise ValueError("n_blocks must be >= 100")
-    window = _integer(window, "window")
-    if window < 1:
-        raise ValueError("window must be >= 1")
+    n_blocks = _integer(n_blocks, "n_blocks", 100)
+    window = _integer(window, "window", 1)
     seed = _check_seed(seed)
     count = 2 * window + 1
-    blocks = _draw(dist, n_blocks * count, seed, _DOM_QTILDE).reshape(n_blocks, count)
-    values = np.abs(blocks @ _kernel(window)[::-1]) ** 4
-    return _estimate(values, n_blocks, seed)
+    with _float_range():
+        blocks = _draw(dist, n_blocks * count, seed, _DOM_QTILDE).reshape(n_blocks, count)
+        values = np.abs(blocks @ _kernel(window)[::-1]) ** 4
+        return _estimate(values, n_blocks, seed)
 
 
 def _draw_noise(n, sigma_w2, seed, domain):
@@ -351,15 +356,11 @@ def _phase_block_sums(y_even, y_mid, ch, oversample, lo, hi, block_len):
 
 def _blocking(interior):
     # Standard-error blocks: 1000 symbols when there is room, else a tenth
-    # of the interior so at least ~10 blocks remain.
-    if interior >= 10_000:
-        block_len = 1000
-    else:
-        block_len = max(1, interior // 10)
-    n_blocks = interior // block_len
-    if n_blocks < 2:
-        raise ValueError("not enough interior symbols for a standard error")
-    return block_len, n_blocks
+    # of the interior.  The edge guard leaves an interior of at least 10
+    # symbols, so block_len >= 1 and, as block_len <= interior/10, at least
+    # 10 blocks remain.
+    block_len = 1000 if interior >= 10_000 else interior // 10
+    return block_len, interior // block_len
 
 
 def mc_delivered_power(dist, ch, n_symbols, oversample, seed,
@@ -419,9 +420,7 @@ def mc_delivered_power(dist, ch, n_symbols, oversample, seed,
     (oversample 8) takes about 3.6 s and 176 MB more resident memory,
     against 0.65 s and 49 MB at n = 1e6.
     """
-    n = _integer(n_symbols, "n_symbols")
-    if n < 1000:
-        raise ValueError("n_symbols must be >= 1000")
+    n = _integer(n_symbols, "n_symbols", 1000)
     oversample = _integer(oversample, "oversample")
     if oversample < 2:
         raise ValueError(
@@ -436,9 +435,7 @@ def mc_delivered_power(dist, ch, n_symbols, oversample, seed,
             f"channel.h_tilde must equal channel.h for the oversampled estimator "
             f"at oversample > 2, got h = {ch.h!r}, h_tilde = {ch.h_tilde!r}; "
             f"the half_rate estimator takes any channel")
-    window = _integer(window, "window")
-    if window < 1:
-        raise ValueError("window must be >= 1")
+    window = _integer(window, "window", 1)
     seed = _check_seed(seed)
     lo, hi = window, n - window
     if hi - lo < 10:
@@ -451,20 +448,17 @@ def mc_delivered_power(dist, ch, n_symbols, oversample, seed,
     # and the mid-samples, which saves a length-n temporary.  numpy rounds
     # some in-place complex products differently from out-of-place ones, so
     # the estimates' last digits depend on this form.
-    with np.errstate(over="raise", invalid="raise"):
-        try:
-            y_even = draw_symbols(dist, n, seed)
-            y_mid = _half_samples(y_even, window)
-            y_even *= ch.h
-            y_even += _draw_noise(n, ch.sigma_w2, seed, _DOM_NOISE_EVEN)
-            y_mid *= ch.h_tilde
-            y_mid += _draw_noise(n, ch.sigma_w2, seed, _DOM_NOISE_ODD)
-            block_means = _phase_block_sums(y_even, y_mid, ch, oversample, lo, hi,
-                                            block_len)
-            block_means /= oversample * ch.f_w
-            return _estimate(block_means, n_blocks * block_len * oversample, seed)
-        except FloatingPointError as exc:
-            raise ValueError(f"the estimate leaves the float range ({exc})") from None
+    with _float_range():
+        y_even = _draw(dist, n, seed, _DOM_SYMBOLS)
+        y_mid = _half_samples(y_even, window)
+        y_even *= ch.h
+        y_even += _draw_noise(n, ch.sigma_w2, seed, _DOM_NOISE_EVEN)
+        y_mid *= ch.h_tilde
+        y_mid += _draw_noise(n, ch.sigma_w2, seed, _DOM_NOISE_ODD)
+        block_means = _phase_block_sums(y_even, y_mid, ch, oversample, lo, hi,
+                                        block_len)
+        block_means /= oversample * ch.f_w
+        return _estimate(block_means, n_blocks * block_len * oversample, seed)
 
 
 def closed_form_delivered_power(dist, ch):

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .moments import GaussianZeroMean, _integer, derived_moments, gaussian_profile
-from .rectenna import _gaussian_power, _power, coeffs
+from .rectenna import _corner_power, _gaussian_power, _power, coeffs
 
 __all__ = [
     "Infeasible",
@@ -111,14 +111,13 @@ def optimal_allocation(P_a, P_d, ch):
     P_i = q / (P_a/2 + sqrt((P_d - pdc_min)/(4A))), q = (pdc_max - P_d)/(4A)
     — the form without cancellation near the corner.  Output is
     canonicalized with P_r >= P_i; the mirrored split performs identically.
+    A P_a whose single-axis delivered power overflows raises ValueError.
     """
-    if not (math.isfinite(P_a) and P_a > 0.0):
-        raise ValueError(f"P_a must be positive and finite, got {P_a!r}")
+    c = coeffs(ch)
+    power_corner = _corner_power(c, P_a)
     if not math.isfinite(P_d):
         raise ValueError(f"P_d must be finite, got {P_d!r}")
-    c = coeffs(ch)
     power_even = _gaussian_power(c, 0.5 * P_a, 0.5 * P_a)
-    power_corner = _gaussian_power(c, P_a, 0.0)
     if P_d > power_corner * (1.0 + _TARGET_TOL):
         raise Infeasible(
             f"target {P_d!r} exceeds the maximum delivered power {power_corner!r}")
@@ -141,16 +140,15 @@ def rp_region(P_a, ch, n_points):
     the rate formula of rate_gaussian and the power quadratic of pdc_max and
     pdc_min (the first and last powers), and listed as RPPoint tuples (rate,
     power, P_r, P_i).  Rate is nondecreasing and power nonincreasing along it.
+    A P_a whose single-axis delivered power overflows raises ValueError.
     """
-    if not (math.isfinite(P_a) and P_a > 0.0):
-        raise ValueError(f"P_a must be positive and finite, got {P_a!r}")
-    n_points = _integer(n_points, "n_points")
-    if n_points < 2:
-        raise ValueError("n_points must be >= 2")
+    c = coeffs(ch)
+    _corner_power(c, P_a)
+    n_points = _integer(n_points, "n_points", 2)
     p_i = np.linspace(0.0, 0.5 * P_a, n_points)
     p_r = P_a - p_i
     rates = _rate(p_r, p_i, ch).tolist()
-    powers = _gaussian_power(coeffs(ch), p_r, p_i).tolist()
+    powers = _gaussian_power(c, p_r, p_i).tolist()
     return list(map(RPPoint._make, zip(rates, powers, p_r.tolist(), p_i.tolist())))
 
 

@@ -334,9 +334,7 @@ def draw_per_block(dist, n, seed, domain, block=1000):
 
 def mc_even_fourth_moment(dist, ch, n_symbols, seed):
     """Empirical fourth moment E[|Y_k|^4] of the integer-time channel output."""
-    n = _integer(n_symbols, "n_symbols")
-    if n < 1000:
-        raise ValueError("n_symbols must be >= 1000")
+    n = _integer(n_symbols, "n_symbols", 1000)
     seed = _check_seed(seed)
     symbols = draw_symbols(dist, n, seed)
     y = ch.h * symbols + _draw_noise(n, ch.sigma_w2, seed, _DOM_NOISE_EVEN)
@@ -362,9 +360,7 @@ def half_sample_value(symbols, k, window):
     rejected rather than silently zero-padded.
     """
     symbols = np.asarray(symbols)
-    window = _integer(window, "window")
-    if window < 1:
-        raise ValueError("window must be >= 1")
+    window = _integer(window, "window", 1)
     k = _integer(k, "k")
     if k - window < 0 or k + window >= symbols.size:
         raise ValueError("k too close to the symbol-array edge for this window")

@@ -100,3 +100,16 @@ def test_cli_runs_without_arrays_leave_numpy_unloaded(argv, code):
     assert proc.returncode == code
     assert proc.stderr.splitlines()[-1] == "False"
     assert (proc.stdout != "") == (code == 0)
+
+
+@pytest.mark.parametrize("message", [
+    "P_a must be positive and finite", "overflows the delivered power",
+    "leaves the float range", "must be at most", "must be >= {",
+])
+def test_each_input_rule_has_one_owner(message):
+    """Each input rule is written once in the package: the budget and its
+    overflow bound in rectenna, the float range in simulate, sizes in
+    moments._integer."""
+    sources = [inspect.getsource(importlib.import_module(f"swipt.{name}"))
+               for name in MODULES]
+    assert sum(source.count(message) for source in sources) == 1

@@ -94,10 +94,11 @@ class TestPartialSums:
         assert partial_sum("S4", 10) == pytest.approx(-1.0 / 3.0, abs=0.05)
 
     def test_rejects_bad_truncation(self):
-        with pytest.raises(ValueError):
-            partial_sum("T0", 0)
-        with pytest.raises(ValueError):
-            partial_sum("T0", -5)
+        for n_terms in (0, -5):
+            with pytest.raises(ValueError, match="n_terms must be >= 1"):
+                partial_sum("T0", n_terms)
+        with pytest.raises(ValueError, match="n_terms must be >= 1"):
+            verify(0)
 
 
 def pure_python_sums(window):

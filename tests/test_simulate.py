@@ -13,6 +13,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -132,9 +133,9 @@ class TestDrawSymbols:
 
     def test_seed_and_count_validation(self):
         dist = GaussianZeroMean(1.0, 0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n must be >= 1"):
             draw_symbols(dist, 0, SEED)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="seed must be an unsigned 64-bit integer"):
             draw_symbols(dist, 100, -1)
 
     def test_single_point_constellation_is_constant(self):
@@ -400,10 +401,18 @@ class TestMcQTilde:
 
     def test_argument_validation(self):
         dist = GaussianZeroMean(0.5, 0.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n_blocks must be >= 100"):
             mc_q_tilde(dist, 99, 16, SEED)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="window must be >= 1"):
             mc_q_tilde(dist, 200, 0, SEED)
+
+    def test_past_the_float_range_is_a_value_error(self):
+        """|X~|^4 near 1e160 squares past the float range in the standard
+        error: one ValueError, and no numpy warning on the way."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="the estimate leaves the float range"):
+                mc_q_tilde(GaussianZeroMean(1e80, 1e80), 100, 1, 0)
 
     def test_constant_symbol_is_noise_free(self):
         """A one-point alphabet makes |X~|^4 deterministic: |c*T0(w)|^4."""
@@ -445,13 +454,13 @@ class TestMcQTilde:
 class TestMcDeliveredPowerStructure:
     def test_argument_validation(self):
         dist = GaussianZeroMean(0.5, 0.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n_symbols must be >= 1000"):
             mc_delivered_power(dist, CH, 999, 4, SEED)
         with pytest.raises(ValueError, match="squared envelope"):
             mc_delivered_power(dist, CH, 2000, 1, SEED)
         with pytest.raises(ValueError, match="estimator"):
             mc_delivered_power(dist, CH, 2000, 4, SEED, estimator="exact")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="window must be >= 1"):
             mc_delivered_power(dist, CH, 2000, 4, SEED, window=0)
         with pytest.raises(ValueError, match="edge guard"):
             mc_delivered_power(dist, CH, 1000, 4, SEED, window=500)

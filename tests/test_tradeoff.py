@@ -7,6 +7,7 @@ anchors were frozen from a 1e-6-step grid search run separately.
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -153,9 +154,9 @@ class TestOptimalAllocation:
 
 class TestRegion:
     def test_needs_two_points(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n_points must be >= 2"):
             rp_region(1.0, CH, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="P_a must be positive and finite"):
             rp_region(-1.0, CH, 5)
         for budget in (math.inf, math.nan):
             with pytest.raises(ValueError, match="P_a must be positive and finite"):
@@ -216,6 +217,27 @@ class TestRegion:
                 tracemalloc.stop()
         assert len(pts) == n
         assert peak <= 256 * n
+
+
+@pytest.mark.parametrize("h, P_a, ok", [
+    (1.0, 1e153, True), (1.0, 1e154, False), (1.0, 1e200, False),
+    (1e40, 1e73, True), (1e40, 1e74, False),
+], ids=repr)
+def test_budget_overflowing_the_delivered_power_is_a_value_error(h, P_a, ok):
+    """The CLI's budget rule holds for the library too: a P_a whose
+    single-axis delivered power overflows raises ValueError with the CLI's
+    text, before numpy can warn or return inf powers."""
+    ch = ChannelParams(h=h)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for solve in (lambda: rp_region(P_a, ch, 3), lambda: optimal_allocation(P_a, 1.0, ch)):
+            if ok:
+                solve()
+                continue
+            with pytest.raises(ValueError) as info:
+                solve()
+            assert str(info.value) == (
+                f"P_a = {P_a!r} overflows the delivered power on this channel")
 
 
 class TestDegenerateQuartic:
