@@ -42,7 +42,7 @@ from .moments import (
     derived_moments,
     profile_of,
 )
-from .rectenna import ChannelParams, _corner_power, coeffs, delivered_power
+from .rectenna import ChannelParams, _budget, _power, coeffs, delivered_power
 
 __all__ = [
     "ConfigError",
@@ -186,9 +186,10 @@ class RunConfig:
 
     def __post_init__(self):
         try:
-            _corner_power(coeffs(self.channel), self.P_a)
+            P_a, _ = _budget(coeffs(self.channel), self.P_a)
         except ValueError as exc:
             raise ConfigError(exc) from None
+        object.__setattr__(self, "P_a", P_a)
         targets = tuple(float(t) for t in self.targets)
         if not all(math.isfinite(t) for t in targets):
             raise ConfigError(f"targets must be finite, got {list(targets)!r}")
@@ -392,10 +393,9 @@ def cmd_power_eval(args, config):
     else:
         dist = distribution_from_spec(_load_json(args.dist, "distribution"))
         profile = profile_of(dist)
-    d = derived_moments(profile)
-    report = {**dataclasses.asdict(coeffs(config.channel)),
-              "Q": d.Q, "Q_tilde": d.Q_tilde, "P": d.P,
-              "P_del": delivered_power(profile, config.channel)}
+    c, d = coeffs(config.channel), derived_moments(profile)
+    report = {**dataclasses.asdict(c), "Q": d.Q, "Q_tilde": d.Q_tilde, "P": d.P,
+              "P_del": _power(c, d)}
     _write(config, report, [report])
     return 0
 

@@ -4,10 +4,10 @@ A band-limited symbol stream at rate f_w takes the value
 X((k + 1/2)/f_w) = sum_n X_n * s_{k-n} midway between samples, with
 s_l = sinc(l + 1/2).  Sums of products of these coefficients up to fourth
 order collapse to simple rationals; they are what turns the harvested-power
-time average into a closed form.  This module exposes the closed forms next
-to their truncated-window evaluation so each reduction can be cross-checked
-numerically: one O(N) pass over the window gives all nine partial sums at
-once, and verify reports each next to its constant.
+time average into a closed form.  verify is the one door to the nine
+sums: one O(N) pass over the truncation window gives all nine partial sums
+at once, and verify reports each next to its constant, so every reduction
+can be cross-checked numerically.
 """
 
 from __future__ import annotations
@@ -19,14 +19,14 @@ import numpy as np
 from .moments import _integer
 
 __all__ = [
-    "SERIES_IDS",
     "SeriesReport",
     "s_coeff",
-    "analytic_value",
-    "partial_sum",
     "verify",
 ]
 
+# The nine constants by series id: T0/T1 are the single sums of s_l and
+# s_l^3; S0/S5 of s_l^2 and s_l^4; S1, S3, S6 run over pairs with l != k;
+# S4 over distinct triples and S2 over distinct quadruples.
 _ANALYTIC = {
     "T0": 1.0,
     "T1": 0.5,
@@ -38,11 +38,6 @@ _ANALYTIC = {
     "S5": 1.0 / 3.0,
     "S6": 1.0 / 6.0,
 }
-
-#: T0/T1 are the single sums of s_l and s_l^3; S0/S5 of s_l^2 and s_l^4;
-#: S1, S3, S6 run over pairs with l != k; S4 over distinct triples and
-#: S2 over distinct quadruples.
-SERIES_IDS = tuple(_ANALYTIC)
 
 
 def s_coeff(l):
@@ -58,13 +53,6 @@ def s_coeff(l):
     if arr.ndim == 0:
         return float(vals)
     return vals
-
-
-def analytic_value(series_id):
-    """Closed-form constant for one of the nine series."""
-    if series_id not in _ANALYTIC:
-        raise ValueError(f"unknown series id {series_id!r}; expected one of {SERIES_IDS}")
-    return _ANALYTIC[series_id]
 
 
 def _window_sums(n_terms):
@@ -99,16 +87,6 @@ def _window_sums(n_terms):
     }
 
 
-def partial_sum(series_id, n_terms):
-    """Truncated series over the symmetric index window l in [-n_terms, n_terms].
-
-    Direct enumeration must agree to rounding error; the cost is O(N)
-    rather than O(N^4).
-    """
-    analytic_value(series_id)  # an unknown id fails before the O(N) pass
-    return _window_sums(_integer(n_terms, "n_terms", 1))[series_id]
-
-
 @dataclass(frozen=True)
 class SeriesReport:
     """Partial sum of one series next to its closed form."""
@@ -121,7 +99,8 @@ class SeriesReport:
 
 
 def verify(n_terms=1_000_000):
-    """Reports for all nine series at a common truncation, from one pass."""
+    """Reports for all nine series over the window l in [-n_terms, n_terms],
+    from one O(n_terms) pass, in the order T0, T1, S0, S1, ..., S6."""
     n = _integer(n_terms, "n_terms", 1)
     sums = _window_sums(n)
     return [SeriesReport(sid, exact, sums[sid], n, abs(exact - sums[sid]))

@@ -4,11 +4,12 @@ Along the full-budget line P_r + P_i = P_a the information rate is concave
 in the split and the harvested power is a quadratic in it,
 P(P_i) = pdc_max - 4*(alpha + alpha_tilde)*P_i*(P_a - P_i): maximal when
 everything rides one axis and minimal at the even split.  The endpoints,
-the solver and the sweep all evaluate rectenna's one zero-mean Gaussian
-quadratic: the solver returns the rate-optimal split meeting a power target
-as its root, the sweep tabulates the frontier as RPPoint named tuples
-(rate, power, P_r, P_i), and kkt_check solves the stationarity rows for the
-first-order multipliers at a candidate point to certify (or falsify) it.
+the solver and the sweep all take P_a through rectenna's one budget rule
+and evaluate its one zero-mean Gaussian quadratic: the solver returns the
+rate-optimal split meeting a power target as its root, the sweep tabulates
+the frontier as RPPoint named tuples (rate, power, P_r, P_i), and kkt_check
+solves the stationarity rows for the first-order multipliers at a candidate
+point to certify (or falsify) it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .moments import GaussianZeroMean, _integer, derived_moments, gaussian_profile
-from .rectenna import _corner_power, _gaussian_power, _power, coeffs
+from .rectenna import _budget, _gaussian_power, _power, coeffs
 
 __all__ = [
     "Infeasible",
@@ -49,11 +50,6 @@ class RPPoint(NamedTuple):
     power: float
     P_r: float
     P_i: float
-
-    @property
-    def allocation(self):
-        """The split as the zero-mean Gaussian input it describes."""
-        return GaussianZeroMean(self.P_r, self.P_i)
 
 
 @dataclass(frozen=True)
@@ -89,13 +85,23 @@ def rate_gaussian(alloc, ch):
 
 
 def pdc_min(P_a, ch):
-    """Delivered power at the even (max-rate) split of budget P_a."""
-    return _gaussian_power(coeffs(ch), 0.5 * P_a, 0.5 * P_a)
+    """Delivered power at the even (max-rate) split of budget P_a.
+
+    The budget rule applies: a P_a that is not positive and finite, or
+    whose single-axis delivered power overflows, raises ValueError.
+    """
+    c = coeffs(ch)
+    P_a, _ = _budget(c, P_a)
+    return _gaussian_power(c, 0.5 * P_a, 0.5 * P_a)
 
 
 def pdc_max(P_a, ch):
-    """Delivered power with the whole budget on one axis (min-rate corner)."""
-    return _gaussian_power(coeffs(ch), P_a, 0.0)
+    """Delivered power with the whole budget on one axis (min-rate corner).
+
+    The budget rule applies: a P_a that is not positive and finite, or
+    whose corner power overflows, raises ValueError.
+    """
+    return _budget(coeffs(ch), P_a)[1]
 
 
 def optimal_allocation(P_a, P_d, ch):
@@ -114,7 +120,7 @@ def optimal_allocation(P_a, P_d, ch):
     A P_a whose single-axis delivered power overflows raises ValueError.
     """
     c = coeffs(ch)
-    power_corner = _corner_power(c, P_a)
+    P_a, power_corner = _budget(c, P_a)
     if not math.isfinite(P_d):
         raise ValueError(f"P_d must be finite, got {P_d!r}")
     power_even = _gaussian_power(c, 0.5 * P_a, 0.5 * P_a)
@@ -143,7 +149,7 @@ def rp_region(P_a, ch, n_points):
     A P_a whose single-axis delivered power overflows raises ValueError.
     """
     c = coeffs(ch)
-    _corner_power(c, P_a)
+    P_a, _ = _budget(c, P_a)
     n_points = _integer(n_points, "n_points", 2)
     p_i = np.linspace(0.0, 0.5 * P_a, n_points)
     p_r = P_a - p_i

@@ -3,6 +3,8 @@
 None of these is part of the package: each is a slower or differently
 derived route to a quantity the package computes in closed form.
 
+* SERIES_IDS, series_sums — the nine series ids in series.verify's order,
+  and verify's partial sums keyed by id;
 * brute_force_double_sum — direct enumeration of the distinct-index series;
 * q_tilde_intermediate — the mid-sample fourth moment via pseudo-moments;
 * constellation_profile — a finite constellation's moments by numpy's
@@ -40,7 +42,7 @@ from swipt.moments import (
     gaussian_profile,
 )
 from swipt.rectenna import coeffs, delivered_power
-from swipt.series import SERIES_IDS, s_coeff
+from swipt.series import s_coeff, verify
 from swipt.simulate import (
     _DOM_NOISE_EVEN,
     _DOM_NOISE_ODD,
@@ -58,16 +60,22 @@ from swipt.simulate import (
 )
 from swipt.tradeoff import Infeasible, KktReport, pdc_max, pdc_min
 
+SERIES_IDS = ("T0", "T1", "S0", "S1", "S2", "S3", "S4", "S5", "S6")
 _PAIR_IDS = ("S1", "S3", "S6")
 _HIGHER_IDS = ("S2", "S4")
 _PAIR_WINDOW_MAX = 2000
 _HIGHER_WINDOW_MAX = 200
 
 
+def series_sums(n_terms):
+    """series.verify's nine partial sums over [-n_terms, n_terms], by id."""
+    return {r.id: r.partial_sum for r in verify(n_terms)}
+
+
 def brute_force_double_sum(series_id, window):
     """Direct enumeration of the distinct-index sums on [-window, window].
 
-    Independent cross-check for the reductions in partial_sum.  S1/S3/S6
+    Independent cross-check for the reductions in series.verify.  S1/S3/S6
     enumerate every (l, k) pair (window <= 2000).  S4 enumerates a masked
     (k, d) grid per l, and S2 enumerates the (l, k) grid against the exact
     window value of the remaining pair-excluded double sum; both are capped
@@ -96,7 +104,7 @@ def brute_force_double_sum(series_id, window):
         if series_id == "S4":
             return _triple_sum_distinct(s)
         return _quad_sum_distinct(s)
-    raise ValueError(f"{series_id} is a single-index sum; use partial_sum")
+    raise ValueError(f"{series_id} is a single-index sum; use series_sums")
 
 
 def _pair_sum_distinct(a, b, block=512):

@@ -19,15 +19,17 @@ import numpy as np
 
 import _gate
 from oracles import (
+    SERIES_IDS,
     bisection_allocation,
     brute_force_double_sum,
     fourth_moment_even,
     mc_even_fourth_moment,
+    series_sums,
 )
 
 from swipt.moments import q_tilde
 from swipt.rectenna import ChannelParams, coeffs
-from swipt.series import SERIES_IDS, partial_sum, verify
+from swipt.series import verify
 from swipt.simulate import (
     ESTIMATORS,
     FiniteConstellation,
@@ -71,8 +73,9 @@ def test_criterion_1_series_constants():
     reports = verify(1_000_000)
     elapsed = time.perf_counter() - t0
     max_err = max(r.abs_error for r in reports)
+    sums = series_sums(1000)
     identity_err = max(
-        abs(brute_force_double_sum(sid, 1000) - partial_sum(sid, 1000))
+        abs(brute_force_double_sum(sid, 1000) - sums[sid])
         for sid in ("S1", "S3", "S6"))
     ok = (len(reports) == len(SERIES_IDS) and max_err <= 1e-4
           and elapsed < 5.0 and identity_err <= 1e-12)
@@ -131,7 +134,7 @@ def test_criterion_4_mid_sample_fourth_moment():
     deterministic = True
     for w in (32, 128, 512):
         est = mc_q_tilde(point, 100, w, SEED)
-        expected = abs(c * partial_sum("T0", w)) ** 4
+        expected = abs(c * series_sums(w)["T0"]) ** 4
         deterministic &= abs(est.mean - expected) <= 1e-12 * expected
         errors.append(abs(est.mean - abs(c) ** 4))
     trend = errors[0] > errors[1] > errors[2] and errors[2] < 1e-5

@@ -13,6 +13,8 @@ import sys
 import pytest
 
 from swipt.moments import MomentProfile
+from swipt.rectenna import ChannelParams
+from swipt.tradeoff import RPPoint
 
 MODULES = ("series", "moments", "rectenna", "simulate", "tradeoff", "cli")
 
@@ -32,9 +34,11 @@ def test_oracles_live_in_tests(name):
     module = importlib.import_module(f"swipt.{name}")
     for attr in ("half_sample_value", "half_samples_one_fft", "_pad_spectrum", "_upsample",
                  "empirical_profile", "mc_even_fourth_moment", "fourth_moment_even",
-                 "delivered_power_gaussian_zero_mean", "_finite_nonnegative"):
+                 "delivered_power_gaussian_zero_mean", "_finite_nonnegative",
+                 "partial_sum", "analytic_value", "SERIES_IDS"):
         assert not hasattr(module, attr), f"swipt.{name}.{attr}"
     assert not hasattr(MomentProfile, "swapped")
+    assert not hasattr(RPPoint, "allocation")
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -69,7 +73,8 @@ def test_one_zero_mean_gaussian_type():
                  "profile_of"):
         assert getattr(simulate, name) is getattr(moments, name)
         assert name in simulate.__all__
-    assert tradeoff.RPPoint(0.0, 0.0, 1.0, 0.0).allocation == moments.GaussianZeroMean(1.0, 0.0)
+    alloc = tradeoff.optimal_allocation(1.0, 1.0, ChannelParams())
+    assert type(alloc) is moments.GaussianZeroMean
 
 
 _PROFILE = ('{"mu_r": 0, "mu_i": 0, "P_r": 0.5, "P_i": 0.5, '

@@ -32,13 +32,14 @@ from swipt.cli import (
 )
 from swipt.moments import MomentProfile, gaussian_profile
 from swipt.rectenna import ChannelParams, delivered_power
-from swipt.series import SERIES_IDS
 from swipt.simulate import (
     ESTIMATORS,
     FiniteConstellation,
     GaussianGeneral,
     GaussianZeroMean,
 )
+
+from oracles import SERIES_IDS
 
 
 SYM_DIST = '{"kind": "gaussian_zero_mean", "P_r": 0.5, "P_i": 0.5}'

@@ -12,15 +12,14 @@ import math
 import numpy as np
 import pytest
 
-from swipt.series import (
-    SERIES_IDS,
-    analytic_value,
-    partial_sum,
-    s_coeff,
-    verify,
-)
+from swipt.series import s_coeff, verify
 
-from oracles import brute_force_double_sum
+from oracles import SERIES_IDS, brute_force_double_sum, series_sums
+
+ANALYTIC = {
+    "T0": 1.0, "T1": 0.5, "S0": 1.0, "S1": 0.0, "S2": 0.0,
+    "S3": 2.0 / 3.0, "S4": -1.0 / 3.0, "S5": 1.0 / 3.0, "S6": 1.0 / 6.0,
+}
 
 
 def sinc_half(l):
@@ -54,57 +53,52 @@ class TestCoefficients:
 
 class TestAnalyticValues:
     def test_all_nine(self):
-        expected = {
-            "T0": 1.0, "T1": 0.5, "S0": 1.0, "S1": 0.0, "S2": 0.0,
-            "S3": 2.0 / 3.0, "S4": -1.0 / 3.0, "S5": 1.0 / 3.0, "S6": 1.0 / 6.0,
-        }
-        for sid in SERIES_IDS:
-            assert analytic_value(sid) == expected[sid]
-
-    def test_unknown_id(self):
-        with pytest.raises(ValueError, match="unknown series id"):
-            analytic_value("S9")
+        reports = verify(1)
+        assert [r.id for r in reports] == list(SERIES_IDS)
+        for r in reports:
+            assert r.analytic == ANALYTIC[r.id]
 
 
 class TestPartialSums:
     def test_convergence_at_1e5(self):
         # alternating single sums converge fast; squared sums have a 2/(pi^2 N) tail
-        assert abs(partial_sum("T0", 100_000) - 1.0) < 1e-9
-        assert abs(partial_sum("T1", 100_000) - 0.5) < 1e-12
-        assert abs(partial_sum("S5", 100_000) - 1.0 / 3.0) < 1e-12
-        s0_err = abs(partial_sum("S0", 100_000) - 1.0)
+        sums = series_sums(100_000)
+        assert abs(sums["T0"] - 1.0) < 1e-9
+        assert abs(sums["T1"] - 0.5) < 1e-12
+        assert abs(sums["S5"] - 1.0 / 3.0) < 1e-12
+        s0_err = abs(sums["S0"] - 1.0)
         tail = 2.0 / (math.pi**2 * 100_000)
         assert 0.5 * tail < s0_err < 2.0 * tail
 
     def test_errors_shrink_with_window(self):
+        coarse_sums, fine_sums = series_sums(100), series_sums(10_000)
         for sid in SERIES_IDS:
-            exact = analytic_value(sid)
-            coarse = abs(partial_sum(sid, 100) - exact)
-            fine = abs(partial_sum(sid, 10_000) - exact)
+            exact = ANALYTIC[sid]
+            coarse = abs(coarse_sums[sid] - exact)
+            fine = abs(fine_sums[sid] - exact)
             assert fine <= coarse
 
     def test_small_window_has_right_sign_ordering(self):
         # even at N=10 every partial sum is closer to its own limit than to 0
         # once the limit is nonzero, and keeps its sign
+        sums = series_sums(10)
         for sid in ("T0", "T1", "S0", "S3", "S5", "S6"):
-            value = partial_sum(sid, 10)
-            exact = analytic_value(sid)
+            value = sums[sid]
+            exact = ANALYTIC[sid]
             assert value == pytest.approx(exact, abs=0.05)
             assert math.copysign(1.0, value) == math.copysign(1.0, exact)
-        assert partial_sum("S4", 10) == pytest.approx(-1.0 / 3.0, abs=0.05)
+        assert sums["S4"] == pytest.approx(-1.0 / 3.0, abs=0.05)
 
     def test_rejects_bad_truncation(self):
         for n_terms in (0, -5):
             with pytest.raises(ValueError, match="n_terms must be >= 1"):
-                partial_sum("T0", n_terms)
-        with pytest.raises(ValueError, match="n_terms must be >= 1"):
-            verify(0)
+                verify(n_terms)
 
 
 def pure_python_sums(window):
     """Direct nested-loop enumeration of all five multi-index series.
 
-    Deliberately naive — separate code path from both partial_sum (windowed
+    Deliberately naive — separate code path from both series.verify (windowed
     identities) and brute_force_double_sum (vectorized grids).
     """
     idx = range(-window, window + 1)
@@ -120,14 +114,15 @@ def pure_python_sums(window):
 
 
 class TestWindowedIdentities:
-    """partial_sum's finite-window values must equal true enumeration."""
+    """verify's finite-window values must equal true enumeration."""
 
     def test_pair_sums_against_pure_python(self):
         s1, s3, s4, s6 = pure_python_sums(24)
-        assert partial_sum("S1", 24) == pytest.approx(s1, abs=1e-13)
-        assert partial_sum("S3", 24) == pytest.approx(s3, abs=1e-13)
-        assert partial_sum("S4", 24) == pytest.approx(s4, abs=1e-13)
-        assert partial_sum("S6", 24) == pytest.approx(s6, abs=1e-13)
+        sums = series_sums(24)
+        assert sums["S1"] == pytest.approx(s1, abs=1e-13)
+        assert sums["S3"] == pytest.approx(s3, abs=1e-13)
+        assert sums["S4"] == pytest.approx(s4, abs=1e-13)
+        assert sums["S6"] == pytest.approx(s6, abs=1e-13)
 
     def test_quadruple_sum_against_pure_python(self):
         window = 8
@@ -137,13 +132,13 @@ class TestWindowedIdentities:
             s[l] * s[k] * s[d] * s[m]
             for l in idx for k in idx for d in idx for m in idx
             if k != l and d != l and d != k and m != l and m != k and m != d)
-        assert partial_sum("S2", window) == pytest.approx(s2, abs=1e-13)
+        assert series_sums(window)["S2"] == pytest.approx(s2, abs=1e-13)
 
     def test_brute_force_matches_identities(self):
         for sid, window in [("S1", 500), ("S3", 500), ("S6", 500),
                             ("S4", 120), ("S2", 120)]:
             brute = brute_force_double_sum(sid, window)
-            ident = partial_sum(sid, window)
+            ident = series_sums(window)[sid]
             assert brute == pytest.approx(ident, abs=1e-12)
 
     def test_brute_force_caps(self):
@@ -166,14 +161,8 @@ class TestReports:
         assert [r.id for r in reports] == list(SERIES_IDS)
         assert all(r.abs_error < 1e-2 for r in reports)
         for r in reports:
-            assert r.analytic == analytic_value(r.id)
+            assert r.analytic == ANALYTIC[r.id]
             assert r.truncation == 10_000
             assert r.abs_error == abs(r.analytic - r.partial_sum)
             assert set(dataclasses.asdict(r)) == {
                 "id", "analytic", "partial_sum", "truncation", "abs_error"}
-
-    @pytest.mark.parametrize("n", [1, 2, 10, 1000, 12345])
-    def test_verify_rows_are_the_partial_sums(self, n):
-        """One pass gives every series the value partial_sum gives it alone."""
-        for r in verify(n):
-            assert r.partial_sum == partial_sum(r.id, n)

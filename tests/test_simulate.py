@@ -21,7 +21,7 @@ import pytest
 
 from swipt.moments import gaussian_profile, q_tilde
 from swipt.rectenna import ChannelParams
-from swipt.series import partial_sum
+from swipt.series import verify
 from swipt.simulate import (
     ESTIMATORS,
     FiniteConstellation,
@@ -57,6 +57,7 @@ from oracles import (
     half_samples_one_fft,
     mc_even_fourth_moment,
     mc_oversampled_single_grid,
+    series_sums,
     upsample,
 )
 
@@ -175,8 +176,8 @@ class TestIntegralArguments:
         lambda d: mc_even_fourth_moment(d, CH, 5000.5, SEED),
         lambda d: half_sample_value(np.ones(10, dtype=complex), 5.5, 3),
         lambda d: half_sample_value(np.ones(10, dtype=complex), 5, 3.5),
-        lambda d: partial_sum("T0", 2.9),
-        lambda d: partial_sum("S2", 2.9),
+        lambda d: verify(2.9),
+        lambda d: verify(np.float64(2.9)),
         lambda d: rp_region(1.0, CH, 2.9),
     ])
     def test_non_integral_rejected(self, call):
@@ -189,7 +190,7 @@ class TestIntegralArguments:
         assert (mc_delivered_power(d, CH, 2e3, 4.0, float(SEED), window=16.0)
                 == mc_delivered_power(d, CH, 2000, 4, SEED, window=16))
         assert mc_q_tilde(d, 2e2, 16.0, SEED) == mc_q_tilde(d, 200, 16, SEED)
-        assert partial_sum("S2", 2e2) == partial_sum("S2", 200)
+        assert verify(2e2) == verify(200)
         assert rp_region(1.0, CH, 3.0) == rp_region(1.0, CH, 3)
 
 
@@ -248,7 +249,7 @@ class TestHalfSampleValue:
         w = 20
         c = 0.7 - 0.3j
         symbols = np.full(2 * w + 1, c)
-        expected = c * partial_sum("T0", w)
+        expected = c * series_sums(w)["T0"]
         assert half_sample_value(symbols, w, w) == pytest.approx(expected,
                                                                  rel=1e-12)
 
@@ -420,7 +421,7 @@ class TestMcQTilde:
         dist = FiniteConstellation((c,), (1.0,))
         for w in (4, 32):
             est = mc_q_tilde(dist, 150, w, SEED)
-            expected = abs(c * partial_sum("T0", w)) ** 4
+            expected = abs(c * series_sums(w)["T0"]) ** 4
             assert est.mean == pytest.approx(expected, rel=1e-12)
             # identical block values; only averaging round-off survives
             assert est.std_error < 1e-14
@@ -439,14 +440,15 @@ class TestMcQTilde:
         with each part's variance scaled by S0(window), so its fourth moment
         is known exactly and independently of the estimator."""
         w = 64
-        s0 = partial_sum("S0", w)
+        s0 = series_sums(w)["S0"]
         expected = q_tilde(gaussian_profile(0.0, 0.0, 0.5 * s0, 0.5 * s0))
         est = mc_q_tilde(GaussianZeroMean(0.5, 0.5), 3000, w, SEED)
         assert abs(est.mean - expected) <= 4.0 * est.std_error
 
     def test_qpsk_within_four_se(self):
         w = 64
-        expected = partial_sum("S5", w) + 2.0 * partial_sum("S3", w)
+        sums = series_sums(w)
+        expected = sums["S5"] + 2.0 * sums["S3"]
         est = mc_q_tilde(FiniteConstellation.qpsk(), 3000, w, SEED)
         assert abs(est.mean - expected) <= 4.0 * est.std_error
 

@@ -164,8 +164,8 @@ class TestRegion:
 
     def test_endpoints(self):
         pts = rp_region(1.0, CH, 11)
-        assert pts[0].allocation == GaussianZeroMean(1.0, 0.0)
-        assert pts[-1].allocation == GaussianZeroMean(0.5, 0.5)
+        assert (pts[0].P_r, pts[0].P_i) == (1.0, 0.0)
+        assert (pts[-1].P_r, pts[-1].P_i) == (0.5, 0.5)
         assert pts[0].power == pytest.approx(pdc_max(1.0, CH), rel=1e-12)
         assert pts[-1].rate == pytest.approx(math.log2(10001.0), rel=1e-12)
 
@@ -177,7 +177,8 @@ class TestRegion:
 
     def test_points_are_self_consistent(self):
         for pt in rp_region(2.0, CH, 7):
-            assert pt.rate == pytest.approx(rate_gaussian(pt.allocation, CH))
+            assert pt.rate == pytest.approx(
+                rate_gaussian(GaussianZeroMean(pt.P_r, pt.P_i), CH))
             assert pt.power == pytest.approx(delivered_power(
                 gaussian_profile(0.0, 0.0, pt.P_r, pt.P_i), CH))
 
@@ -195,7 +196,7 @@ class TestRegion:
         assert isinstance(pts, list) and pts == rp_region(P_a, CH, 101)
         for pt in pts:
             assert isinstance(pt, tuple)
-            assert pt.allocation == GaussianZeroMean(pt.P_r, pt.P_i)
+            assert pt.P_r >= pt.P_i >= 0.0
             assert abs(pt.P_r + pt.P_i - P_a) <= math.ulp(P_a)
 
     def test_sweep_peak_per_point(self):
@@ -219,25 +220,65 @@ class TestRegion:
         assert peak <= 256 * n
 
 
+# Every public door to the budget rule, as a call of (P_a, ch).
+BUDGET_CALLS = {
+    "rp_region": lambda P_a, ch: rp_region(P_a, ch, 3),
+    "optimal_allocation": lambda P_a, ch: optimal_allocation(P_a, 70.0, ch),
+    "pdc_min": pdc_min,
+    "pdc_max": pdc_max,
+}
+
+
 @pytest.mark.parametrize("h, P_a, ok", [
     (1.0, 1e153, True), (1.0, 1e154, False), (1.0, 1e200, False),
     (1e40, 1e73, True), (1e40, 1e74, False),
+    (1.0, -1.0, False), (1.0, 0.0, False), (1.0, math.nan, False), (1.0, math.inf, False),
 ], ids=repr)
 def test_budget_overflowing_the_delivered_power_is_a_value_error(h, P_a, ok):
-    """The CLI's budget rule holds for the library too: a P_a whose
-    single-axis delivered power overflows raises ValueError with the CLI's
-    text, before numpy can warn or return inf powers."""
+    """The CLI's budget rule holds for every library door to a budget: a
+    P_a that is not positive and finite, or whose single-axis delivered
+    power overflows, raises ValueError with the CLI's text, before numpy
+    can warn or return inf powers."""
     ch = ChannelParams(h=h)
+    expected = (f"P_a = {P_a!r} overflows the delivered power on this channel"
+                if 0.0 < P_a < math.inf else f"P_a must be positive and finite, got {P_a!r}")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for solve in (lambda: rp_region(P_a, ch, 3), lambda: optimal_allocation(P_a, 1.0, ch)):
+        for call in BUDGET_CALLS.values():
             if ok:
-                solve()
+                call(P_a, ch)
                 continue
             with pytest.raises(ValueError) as info:
-                solve()
-            assert str(info.value) == (
-                f"P_a = {P_a!r} overflows the delivered power on this channel")
+                call(P_a, ch)
+            assert str(info.value) == expected
+
+
+def _numbers(result):
+    # every number a budget call returns, in order
+    if isinstance(result, list):
+        return [x for pt in result for x in pt]
+    if isinstance(result, GaussianZeroMean):
+        return [result.P_r, result.P_i]
+    return [result]
+
+
+@pytest.mark.parametrize("name", BUDGET_CALLS)
+def test_numpy_scalar_budget_is_taken_as_a_float(name):
+    """The budget rule turns P_a into a Python float: a numpy scalar that
+    overflows raises the rule's ValueError with no numpy warning, and one
+    that fits gives the Python-float call's plain floats.  A string is
+    still a TypeError."""
+    call = BUDGET_CALLS[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            call(np.float64(1e200), CH)
+        assert str(info.value) == "P_a = 1e+200 overflows the delivered power on this channel"
+        numbers = _numbers(call(np.float64(1.0), CH))
+    assert numbers == _numbers(call(1.0, CH))
+    assert all(type(x) is float for x in numbers)
+    with pytest.raises(TypeError):
+        call("1.0", CH)
 
 
 class TestDegenerateQuartic:
