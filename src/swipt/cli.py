@@ -10,10 +10,10 @@ per delivered-power target).
 Configuration is one JSON document.  Command-line flags are merged into it,
 overriding the file's values, and the result is checked by one reader,
 from_json.
-Every subcommand writes through one writer, _write.  All numbers are
-emitted at full double precision so a fixed seed reproduces output
-byte-for-byte; a non-finite number is an error, not output.  Exit codes:
-0 all checks passed, 1 a validation check failed, 2 usage or config error.
+Every subcommand writes through one writer, _write, at full double
+precision, so a fixed seed reproduces output byte-for-byte; a non-finite
+number is an error, not output.  Exit codes: 0 all checks passed, 1 a
+validation check failed, 2 a usage error or an input rejected by ValueError.
 
 Only moments and rectenna, which import no numpy, load with this module;
 series-verify, mc-validate and region each import the array module they
@@ -45,7 +45,6 @@ from .moments import (
 from .rectenna import ChannelParams, _budget, _power, coeffs, delivered_power
 
 __all__ = [
-    "ConfigError",
     "McConfig",
     "SweepConfig",
     "OutputConfig",
@@ -57,14 +56,10 @@ __all__ = [
 ]
 
 
-class ConfigError(ValueError):
-    """Malformed configuration or command input."""
-
-
 def _reject_unknown(data, known, what):
     unknown = sorted(set(data) - set(known))
     if unknown:
-        raise ConfigError(f"unknown {what} keys: {unknown}")
+        raise ValueError(f"unknown {what} keys: {unknown}")
 
 
 def _value(kind, value, name):
@@ -76,11 +71,11 @@ def _value(kind, value, name):
         return None if value is None else _value(args[0], value, name)
     if kind is str:
         if not isinstance(value, str):
-            raise ConfigError(f"{name} must be a string, got {value!r}")
+            raise ValueError(f"{name} must be a string, got {value!r}")
         return value
     if typing.get_origin(kind) is tuple:
         if not isinstance(value, list):
-            raise ConfigError(f"{name} must be a list, got {value!r}")
+            raise ValueError(f"{name} must be a list, got {value!r}")
         return tuple(_value(args[0], v, f"{name}[{i}]") for i, v in enumerate(value))
     if kind is complex and isinstance(value, list) and len(value) == 2:
         return complex(_value(float, value[0], f"{name}[0]"),
@@ -89,31 +84,29 @@ def _value(kind, value, name):
     if isinstance(value, bool) or not isinstance(value, numbers):
         expected = {int: "an integer", float: "a number",
                     complex: "a number or an [re, im] pair"}[kind]
-        raise ConfigError(f"{name} must be {expected}, got {value!r}")
+        raise ValueError(f"{name} must be {expected}, got {value!r}")
     try:
         return _integer(value, name) if kind is int else kind(value)
     except OverflowError:
-        raise ConfigError(f"{name} is out of range, got {value!r}") from None
-    except ValueError as exc:
-        raise ConfigError(exc) from None
+        raise ValueError(f"{name} is out of range, got {value!r}") from None
 
 
 def from_json(cls, data, what):
     """A cls record from a parsed JSON object, its fields converted by annotation.
 
     Integers accept integral floats such as 2e5, complex numbers an [re, im]
-    pair or a plain number; fields with defaults may be left out.  Any
-    malformed value raises ConfigError naming its path under what, such as
-    config.mc.seed.
+    pair or a plain number; fields with defaults may be left out.  A bad
+    value raises ValueError naming its path under what, such as config.mc.seed,
+    or, from a record's own rule, its field, such as mc.n_symbols or sigma_w2.
     """
     if not isinstance(data, dict):
-        raise ConfigError(f"{what} must be an object, got {data!r}")
+        raise ValueError(f"{what} must be an object, got {data!r}")
     fields = dataclasses.fields(cls)
     _reject_unknown(data, [f.name for f in fields], what)
     missing = [f.name for f in fields
                if f.name not in data and f.default is dataclasses.MISSING]
     if missing:
-        raise ConfigError(f"missing {what} keys: {missing}")
+        raise ValueError(f"missing {what} keys: {missing}")
     kinds = typing.get_type_hints(cls)
     return cls(**{key: _value(kinds[key], value, f"{what}.{key}")
                   for key, value in data.items()})
@@ -170,7 +163,7 @@ class OutputConfig:
 
     def __post_init__(self):
         if self.format not in ("json", "csv"):
-            raise ConfigError(f"output format must be json or csv, got {self.format!r}")
+            raise ValueError(f"output format must be json or csv, got {self.format!r}")
 
 
 @dataclass(frozen=True)
@@ -185,14 +178,11 @@ class RunConfig:
     output: OutputConfig = OutputConfig()
 
     def __post_init__(self):
-        try:
-            P_a, _ = _budget(coeffs(self.channel), self.P_a)
-        except ValueError as exc:
-            raise ConfigError(exc) from None
+        P_a, _ = _budget(coeffs(self.channel), self.P_a)
         object.__setattr__(self, "P_a", P_a)
         targets = tuple(float(t) for t in self.targets)
         if not all(math.isfinite(t) for t in targets):
-            raise ConfigError(f"targets must be finite, got {list(targets)!r}")
+            raise ValueError(f"targets must be finite, got {list(targets)!r}")
         object.__setattr__(self, "targets", targets)
 
 
@@ -204,7 +194,7 @@ def distribution_from_spec(data):
     probs optional, equiprobable when left out or null}.
     """
     if not isinstance(data, dict) or "kind" not in data:
-        raise ConfigError("distribution spec must be an object with a 'kind' key")
+        raise ValueError("distribution spec must be an object with a 'kind' key")
     kind = data["kind"]
     rest = {k: v for k, v in data.items() if k != "kind"}
     if kind in ("gaussian_zero_mean", "gaussian"):
@@ -216,7 +206,7 @@ def distribution_from_spec(data):
         return FiniteConstellation.qpsk()
     if kind == "constellation":
         return from_json(FiniteConstellation, rest, "distribution")
-    raise ConfigError(f"unknown distribution kind {kind!r}")
+    raise ValueError(f"unknown distribution kind {kind!r}")
 
 
 def _load_json(text, what):
@@ -228,9 +218,9 @@ def _load_json(text, what):
         with open(text, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read {what} {text!r}: {exc}") from exc
+        raise ValueError(f"cannot read {what} {text!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"{what} {text!r} is not valid JSON: {exc}") from exc
+        raise ValueError(f"{what} {text!r} is not valid JSON: {exc}") from exc
 
 
 def _emit(text, path):
@@ -243,7 +233,7 @@ def _emit(text, path):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        raise ConfigError(f"cannot write output {path!r}: {exc.strerror}") from exc
+        raise ValueError(f"cannot write output {path!r}: {exc.strerror}") from exc
 
 
 def _complex_pair(value):
@@ -375,7 +365,7 @@ def _resolved_config(args):
 def cmd_series_verify(args, config):
     _integer(args.n_terms, "n_terms", hi=_MAX_N_TERMS)
     if not (math.isfinite(args.tol) and args.tol >= 0.0):
-        raise ConfigError(f"tol must be finite and nonnegative, got {args.tol!r}")
+        raise ValueError(f"tol must be finite and nonnegative, got {args.tol!r}")
     from .series import verify
 
     reports = [dataclasses.asdict(r) for r in verify(args.n_terms)]

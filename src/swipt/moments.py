@@ -120,6 +120,14 @@ def derived_moments(profile):
     return DerivedMoments(total_p, total_q, q_tilde(p))
 
 
+def _pow(x, k):
+    # x**k, or the inf of a product where ** overflows: MomentProfile names it
+    try:
+        return x**k
+    except OverflowError:
+        return math.copysign(math.inf, x) if k % 2 else math.inf
+
+
 def gaussian_profile(mu_r, mu_i, var_r, var_i):
     """Moment profile of a complex Gaussian with independent parts."""
     if var_r < 0.0 or var_i < 0.0:
@@ -127,8 +135,8 @@ def gaussian_profile(mu_r, mu_i, var_r, var_i):
 
     def one_dim(mu, var):
         p = mu * mu + var
-        t = mu**3 + 3.0 * mu * var
-        q = mu**4 + 6.0 * mu * mu * var + 3.0 * var * var
+        t = _pow(mu, 3) + 3.0 * mu * var
+        q = _pow(mu, 4) + 6.0 * mu * mu * var + 3.0 * var * var
         return p, t, q
 
     p_r, t_r, q_r = one_dim(mu_r, var_r)
@@ -209,7 +217,7 @@ def profile_of(dist):
         im = [x.imag for x in dist.points]
 
         def moment(part, k):
-            return sum(p * x**k for p, x in zip(dist.probs, part))
+            return sum(p * _pow(x, k) for p, x in zip(dist.probs, part))
 
         return MomentProfile(
             moment(re, 1), moment(im, 1), moment(re, 2), moment(im, 2),

@@ -113,15 +113,17 @@ def _gaussian_power(c, P_r, P_i):
             + (c.beta + c.beta_tilde) * (P_r + P_i) + c.gamma)
 
 
-def _budget(c, P_a):
+def _budget(c, P_a, P_d=0.0):
     # The budget rule: P_a is positive and finite, and the delivered power
     # with all of it on one axis, the largest of any split, is a float, so
-    # every split's power is.  Returns P_a as a Python float, so that no
-    # numpy scalar warns on the way, and that corner power.
+    # every split's power is; a power target P_d is finite.  Returns P_a as a
+    # Python float, so no numpy scalar warns on the way, and the corner power.
     if not (cmath.isfinite(P_a) and P_a > 0.0):
         raise ValueError(f"P_a must be positive and finite, got {P_a!r}")
     P_a = float(P_a)
     corner = _gaussian_power(c, P_a, 0.0)
     if not cmath.isfinite(corner):
         raise ValueError(f"P_a = {P_a!r} overflows the delivered power on this channel")
+    if not cmath.isfinite(P_d):
+        raise ValueError(f"P_d must be finite, got {P_d!r}")
     return P_a, corner

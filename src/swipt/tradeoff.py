@@ -4,12 +4,12 @@ Along the full-budget line P_r + P_i = P_a the information rate is concave
 in the split and the harvested power is a quadratic in it,
 P(P_i) = pdc_max - 4*(alpha + alpha_tilde)*P_i*(P_a - P_i): maximal when
 everything rides one axis and minimal at the even split.  The endpoints,
-the solver and the sweep all take P_a through rectenna's one budget rule
-and evaluate its one zero-mean Gaussian quadratic: the solver returns the
-rate-optimal split meeting a power target as its root, the sweep tabulates
-the frontier as RPPoint named tuples (rate, power, P_r, P_i), and kkt_check
-solves the stationarity rows for the first-order multipliers at a candidate
-point to certify (or falsify) it.
+the solver, the sweep and kkt_check take P_a, and any target P_d, through
+rectenna's one budget rule; all but kkt_check evaluate its one zero-mean
+Gaussian quadratic.  The solver returns the rate-optimal split meeting a
+target as its root, the sweep lists the frontier as RPPoint named tuples
+(rate, power, P_r, P_i), and kkt_check solves the stationarity rows for the
+first-order multipliers at a candidate point to certify (or falsify) it.
 """
 
 from __future__ import annotations
@@ -120,9 +120,7 @@ def optimal_allocation(P_a, P_d, ch):
     A P_a whose single-axis delivered power overflows raises ValueError.
     """
     c = coeffs(ch)
-    P_a, power_corner = _budget(c, P_a)
-    if not math.isfinite(P_d):
-        raise ValueError(f"P_d must be finite, got {P_d!r}")
+    P_a, power_corner = _budget(c, P_a, P_d)
     power_even = _gaussian_power(c, 0.5 * P_a, 0.5 * P_a)
     if P_d > power_corner * (1.0 + _TARGET_TOL):
         raise Infeasible(
@@ -180,6 +178,7 @@ def kkt_check(alloc, mu_r, mu_i, P_a, P_d, ch):
     sit at mu = 0, where those equations vanish identically.
     """
     c = coeffs(ch)
+    P_a, _ = _budget(c, P_a, P_d)
     a = _snr_gain(ch)
     c1 = 0.5 * ch.f_w / math.log(2.0)  # rate in bits
     var_r = alloc.P_r - mu_r * mu_r

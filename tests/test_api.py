@@ -2,7 +2,7 @@
 zero-mean Gaussian type is moments.GaussianZeroMean (no PowerAllocation),
 which simulate exports too, test oracles live in tests/, the JSON format is
 read by the CLI alone, the bare package import stays free of numpy, and so
-do the CLI runs that build no array."""
+do the CLI runs that build no array; a rejected input raises ValueError."""
 
 import ast
 import importlib
@@ -14,7 +14,7 @@ import pytest
 
 from swipt.moments import MomentProfile
 from swipt.rectenna import ChannelParams
-from swipt.tradeoff import RPPoint
+from swipt.tradeoff import Infeasible, RPPoint
 
 MODULES = ("series", "moments", "rectenna", "simulate", "tradeoff", "cli")
 
@@ -109,12 +109,24 @@ def test_cli_runs_without_arrays_leave_numpy_unloaded(argv, code):
 
 @pytest.mark.parametrize("message", [
     "P_a must be positive and finite", "overflows the delivered power",
-    "leaves the float range", "must be at most", "must be >= {",
+    "P_d must be finite", "leaves the float range", "must be at most", "must be >= {",
 ])
 def test_each_input_rule_has_one_owner(message):
-    """Each input rule is written once in the package: the budget and its
-    overflow bound in rectenna, the float range in simulate, sizes in
-    moments._integer."""
+    """Each input rule is written once in the package: the budget, its
+    overflow bound and the target in rectenna, the float range in simulate,
+    sizes in moments._integer."""
     sources = [inspect.getsource(importlib.import_module(f"swipt.{name}"))
                for name in MODULES]
     assert sum(source.count(message) for source in sources) == 1
+
+
+def test_rejected_input_is_a_value_error():
+    """Every input rule raises ValueError itself, which the CLI turns into
+    exit 2: the only exception class any module holds is
+    tradeoff.Infeasible, a ValueError for a target no split reaches."""
+    held = {f"swipt.{name}.{attr}": obj
+            for name in MODULES
+            for attr, obj in vars(importlib.import_module(f"swipt.{name}")).items()
+            if inspect.isclass(obj) and issubclass(obj, BaseException)}
+    assert held == {"swipt.tradeoff.Infeasible": Infeasible}
+    assert issubclass(Infeasible, ValueError)

@@ -21,7 +21,6 @@ from swipt.cli import (
     _MAX_N_TERMS,
     _MAX_OVERSAMPLE,
     _MAX_WINDOW,
-    ConfigError,
     McConfig,
     OutputConfig,
     RunConfig,
@@ -540,7 +539,7 @@ def _budget_is_valid(channel, P_a):
     # RunConfig's own rule: the delivered power at P_a must not overflow.
     try:
         RunConfig(channel=channel, P_a=P_a)
-    except ConfigError:
+    except ValueError:
         return False
     return True
 
@@ -683,3 +682,41 @@ def test_gain_squaring_past_the_float_range_is_a_config_error():
     assert proc.stdout == ""
     [line] = proc.stderr.splitlines()
     assert line.startswith("error: channel field h overflows when squared")
+
+
+@pytest.mark.parametrize("command", ["power-eval", "mc-validate"])
+@pytest.mark.parametrize("spec, moment", [
+    ('{"kind": "constellation", "points": [[1e80, 0]]}', "Q_r"),
+    ('{"kind": "gaussian", "mu_r": 1e200}', "P_r"),
+])
+def test_distribution_whose_moments_overflow_is_a_config_error(command, spec, moment):
+    """A distribution whose moments pass the float range (a point at 1e80, a
+    mean of 1e200) exits 2 with one error line naming the first such moment
+    and nothing on stdout.  A fresh process, so that a traceback would show."""
+    proc = subprocess.run([sys.executable, "-m", "swipt.cli", command, "--dist", spec],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: moment {moment} must be finite, got inf\n"
+
+
+# Finite distribution fields of any size up to 1e300.
+_FIELD = st.floats(-1e300, 1e300)
+DIST_SPECS = st.one_of(
+    st.lists(st.lists(_FIELD, min_size=2, max_size=2), min_size=1, max_size=4).map(
+        lambda points: {"kind": "constellation", "points": points}),
+    st.fixed_dictionaries({"kind": st.just("gaussian"), "mu_r": _FIELD, "mu_i": _FIELD,
+                           "var_r": _FIELD, "var_i": _FIELD}),
+    st.fixed_dictionaries({"kind": st.just("gaussian_zero_mean"),
+                           "P_r": _FIELD, "P_i": _FIELD}),
+)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(spec=DIST_SPECS)
+def test_power_eval_of_any_finite_distribution_exits_0_or_2(spec):
+    """power-eval either prints a breakdown or rejects the distribution with
+    exit 2; no input of finite fields ends in a traceback."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["power-eval", "--dist", json.dumps(spec)])
+    assert code in (0, 2)

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from swipt.cli import from_json
 from swipt.moments import (
     FiniteConstellation,
+    GaussianGeneral,
     MomentProfile,
     _integer,
     derived_moments,
@@ -25,8 +26,9 @@ from swipt.moments import (
     profile_of,
     q_tilde,
 )
+from swipt.rectenna import ChannelParams
 from swipt.series import s_coeff
-from swipt.simulate import draw_symbols
+from swipt.simulate import closed_form_delivered_power, draw_symbols
 
 from oracles import (
     constellation_profile,
@@ -125,6 +127,32 @@ class TestGaussianProfile:
     def test_negative_variance_rejected(self):
         with pytest.raises(ValueError):
             gaussian_profile(0.0, 0.0, -0.1, 1.0)
+
+
+# Inputs whose moments leave the float range, with the first one that does
+# and its value: float ** raises OverflowError there, where * gives inf.
+OVERFLOWING = [
+    (FiniteConstellation((1e80,)), "Q_r", "inf"),
+    (FiniteConstellation((-1e103j,)), "T_i", "-inf"),
+    (GaussianGeneral(1e200, 0.0, 0.0, 0.0), "P_r", "inf"),
+    (GaussianGeneral(-1e103, 0.0, 0.0, 0.0), "T_r", "-inf"),
+    (GaussianGeneral(0.0, 1e80, 0.0, 1.0), "Q_i", "inf"),
+]
+
+
+@pytest.mark.parametrize("dist, moment, value", OVERFLOWING,
+                         ids=["point", "negative-point", "mean", "negative-mean", "mean_i"])
+def test_overflowing_moment_is_a_value_error_naming_it(dist, moment, value):
+    """profile_of, gaussian_profile and closed_form_delivered_power reject
+    such an input with the profile's finiteness rule, naming the moment."""
+    calls = [lambda: profile_of(dist),
+             lambda: closed_form_delivered_power(dist, ChannelParams())]
+    if isinstance(dist, GaussianGeneral):
+        calls.append(lambda: gaussian_profile(dist.mu_r, dist.mu_i, dist.var_r, dist.var_i))
+    for call in calls:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == f"moment {moment} must be finite, got {value}"
 
 
 class TestEmpiricalProfile:

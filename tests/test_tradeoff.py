@@ -150,6 +150,8 @@ class TestOptimalAllocation:
             optimal_allocation(bad, 70.0, CH)
         with pytest.raises(ValueError, match="P_d"):
             optimal_allocation(1.0, bad, CH)
+        with pytest.raises(ValueError, match="P_d"):
+            kkt_check(GaussianZeroMean(0.5, 0.5), 0.0, 0.0, 1.0, bad, CH)
 
 
 class TestRegion:
@@ -226,6 +228,7 @@ BUDGET_CALLS = {
     "optimal_allocation": lambda P_a, ch: optimal_allocation(P_a, 70.0, ch),
     "pdc_min": pdc_min,
     "pdc_max": pdc_max,
+    "kkt_check": lambda P_a, ch: kkt_check(GaussianZeroMean(0.5, 0.5), 0.0, 0.0, P_a, 70.0, ch),
 }
 
 
@@ -255,6 +258,8 @@ def test_budget_overflowing_the_delivered_power_is_a_value_error(h, P_a, ok):
 
 def _numbers(result):
     # every number a budget call returns, in order
+    if isinstance(result, KktReport):
+        return list(dataclasses.astuple(result)[:-1])  # the last field is a flag
     if isinstance(result, list):
         return [x for pt in result for x in pt]
     if isinstance(result, GaussianZeroMean):
