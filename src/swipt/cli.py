@@ -306,6 +306,7 @@ def build_parser():
     p = sub.add_parser("series-verify",
                        help="check the nine coefficient-series constants")
     common(p)
+    p.set_defaults(run=cmd_series_verify)
     p.add_argument("--n-terms", type=int, default=1_000_000,
                    help="truncation window half-width (default 1e6)")
     p.add_argument("--tol", type=float, default=1e-4,
@@ -314,6 +315,7 @@ def build_parser():
     p = sub.add_parser("power-eval",
                        help="delivered-power breakdown for a profile or distribution")
     common(p)
+    p.set_defaults(run=cmd_power_eval)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--profile", metavar="JSON|PATH",
                        help="moment profile (mu_r, mu_i, P_r, P_i, T_r, T_i, Q_r, Q_i)")
@@ -323,6 +325,7 @@ def build_parser():
     p = sub.add_parser("mc-validate",
                        help="compare both Monte-Carlo estimators to the closed form")
     common(p)
+    p.set_defaults(run=cmd_mc_validate)
     p.add_argument("--dist", metavar="JSON|PATH",
                    help="input distribution spec; default gaussian_zero_mean "
                         "with P_r = P_i = P_a/2")
@@ -330,6 +333,7 @@ def build_parser():
     p = sub.add_parser("region",
                        help="sweep the rate/power frontier, optionally solving targets")
     common(p)
+    p.set_defaults(run=cmd_region)
     p.add_argument("--n-points", type=int, help="override sweep.n_points")
     p.add_argument("--target", type=float, action="append", dest="targets",
                    metavar="P_D", help="delivered-power target (repeatable; "
@@ -447,14 +451,6 @@ def cmd_region(args, config):
     return 0
 
 
-_COMMANDS = {
-    "series-verify": cmd_series_verify,
-    "power-eval": cmd_power_eval,
-    "mc-validate": cmd_mc_validate,
-    "region": cmd_region,
-}
-
-
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -463,7 +459,7 @@ def main(argv=None):
         if args.dump_config:
             _emit(_json_text(dataclasses.asdict(config)), config.output.path)
             return 0
-        return _COMMANDS[args.command](args, config)
+        return args.run(args, config)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 __all__ = [
@@ -32,6 +33,7 @@ __all__ = [
 
 _FIELDS = ("mu_r", "mu_i", "P_r", "P_i", "T_r", "T_i", "Q_r", "Q_i")
 _REL_SLACK = 1e-12  # float headroom for the moment inequalities
+_NO_VARIANCE = 4.0 * sys.float_info.epsilon  # var/P of a point mass, for rounding
 
 
 @dataclass(frozen=True)
@@ -41,7 +43,14 @@ class MomentProfile:
     mu/P/T/Q are the first/second/third/fourth moments; the _r/_i suffix
     picks the real or imaginary part.  Construction rejects moment sets no
     distribution can produce, since the downstream formulas silently emit
-    garbage for them.
+    garbage for them.  Per dimension, the Hankel matrix [[1, mu, P],
+    [mu, P, T], [P, T, Q]] must be positive semidefinite (Curto & Fialkow
+    1991): its LDL^T pivots var = P - mu^2 and (Q - P^2) - (T - mu*P)^2/var
+    are nonnegative, the last tested as |T - mu*P| <= sqrt(var)*sqrt(Q - P^2),
+    whose terms stay finite for any real distribution.  A var within rounding
+    of zero (4 machine epsilons of P) is none: the input is then a point mass
+    at mu, so T = mu*P and Q = P^2.  Each rule grants the moments 1e-12 of
+    relative headroom.
     """
 
     mu_r: float
@@ -58,30 +67,30 @@ class MomentProfile:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"moment {name} must be finite, got {value!r}")
-        # Each dimension's Hankel matrix [[1, mu, P], [mu, P, T], [P, T, Q]]
-        # must be positive semidefinite (Curto & Fialkow 1991): all its
-        # principal minors are nonnegative, up to float headroom scaled by
-        # the size of the terms in each minor.
         for dim, mu, p, t, q in (("r", self.mu_r, self.P_r, self.T_r, self.Q_r),
                                  ("i", self.mu_i, self.P_i, self.T_i, self.Q_i)):
             if p < 0.0 or q < 0.0:
                 raise ValueError(f"negative even moment in dimension {dim}")
-            if p - mu * mu < -_REL_SLACK * max(1.0, p):
+            var, spread = p - mu * mu, q - p * p
+            if var < -_REL_SLACK * max(1.0, p):
                 raise ValueError(
                     f"variance violation: P_{dim} < mu_{dim}^2 ({p} < {mu * mu})")
-            if q - p * p < -_REL_SLACK * max(1.0, q):
+            if spread < -_REL_SLACK * max(1.0, q):
                 raise ValueError(
                     f"Jensen violation: Q_{dim} < P_{dim}^2 ({q} < {p * p})")
-            pq, tt = p * q, t * t
-            if pq - tt < -_REL_SLACK * max(1.0, pq, tt):
+            lag, lag_slack = abs(t - mu * p), _REL_SLACK * max(1.0, abs(t))
+            if var <= _NO_VARIANCE * p:
+                if lag > lag_slack or spread > _REL_SLACK * max(1.0, q):
+                    raise ValueError(
+                        f"moment violation: dimension {dim} has no variance, so T_{dim} "
+                        f"= mu_{dim}*P_{dim} = {mu * p} and Q_{dim} = P_{dim}^2 = {p * p}")
+                continue
+            bound = lag_slack + (math.sqrt(var + _REL_SLACK * max(1.0, p))
+                                 * math.sqrt(spread + _REL_SLACK * max(1.0, q)))
+            if lag > bound:
                 raise ValueError(
-                    f"moment violation: P_{dim}*Q_{dim} < T_{dim}^2 ({pq} < {tt})")
-            cross = 2.0 * mu * t * p
-            det = pq - tt - mu * mu * q + cross - p * p * p
-            if det < -_REL_SLACK * max(1.0, pq, tt, mu * mu * q, abs(cross), p * p * p):
-                raise ValueError(
-                    f"moment violation: Hankel determinant in dimension {dim} "
-                    f"is negative ({det})")
+                    f"moment violation: Hankel determinant in dimension {dim} is "
+                    f"negative: |T_{dim} - mu_{dim}*P_{dim}| = {lag} > {bound}")
 
 
 @dataclass(frozen=True)
@@ -217,7 +226,8 @@ def profile_of(dist):
         im = [x.imag for x in dist.points]
 
         def moment(part, k):
-            return sum(p * _pow(x, k) for p, x in zip(dist.probs, part))
+            # a point never drawn adds nothing, not 0 * inf = nan
+            return sum(p * _pow(x, k) for p, x in zip(dist.probs, part) if p)
 
         return MomentProfile(
             moment(re, 1), moment(im, 1), moment(re, 2), moment(im, 2),

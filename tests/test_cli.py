@@ -720,3 +720,76 @@ def test_power_eval_of_any_finite_distribution_exits_0_or_2(spec):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(["power-eval", "--dist", json.dumps(spec)])
     assert code in (0, 2)
+
+
+def _power_eval(flag, document):
+    """power-eval in a fresh process: exit code, stdout and stderr."""
+    proc = subprocess.run([sys.executable, "-m", "swipt.cli", "power-eval", flag,
+                           json.dumps(document), "--format", "csv"],
+                          capture_output=True, text=True)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def _p_del(flag, document):
+    """P_del of an in-process power-eval run, as printed."""
+    return json.loads(_run_main(["power-eval", flag, json.dumps(document)]))["P_del"]
+
+
+def _profile(mu_r=0, mu_i=0, P_r=0, P_i=0, T_r=0, T_i=0, Q_r=0, Q_i=0):
+    return {"mu_r": mu_r, "mu_i": mu_i, "P_r": P_r, "P_i": P_i,
+            "T_r": T_r, "T_i": T_i, "Q_r": Q_r, "Q_i": Q_i}
+
+
+def test_profile_whose_hankel_terms_overflow_exits_2():
+    """T_r^2 = 1e500 exceeds P_r*Q_r = 1e400, though both overflow: exit 2
+    with one error line and nothing on stdout.  T_r = 1e200 with
+    Q_r = 1e301 is a valid profile, and its digits do not change."""
+    code, out, err = _power_eval("--profile", _profile(P_r=1e100, T_r=1e250, Q_r=1e300))
+    assert (code, out) == (2, "")
+    [line] = err.splitlines()
+    assert line.startswith("error: moment violation: Hankel determinant in dimension r")
+    valid = _profile(P_r=1e100, T_r=1e200, Q_r=1e301)
+    assert repr(_p_del("--profile", valid)) == "1.9145000000000002e+302"
+
+
+@pytest.mark.parametrize("profile", [
+    _profile(P_i=1, Q_r=5, Q_i=3),
+    _profile(mu_r=1, P_r=1, P_i=1, T_r=1, Q_r=7, Q_i=3),
+], ids=["at-zero", "at-one"])
+def test_profile_without_variance_must_be_a_point_mass(profile):
+    """P_r = mu_r^2 makes the real part the constant mu_r, whose Q_r is
+    P_r^2: any other exits 2 with one error line naming the dimension.
+    The point masses of the library's profiles keep their digits."""
+    code, out, err = _power_eval("--profile", profile)
+    assert (code, out) == (2, "")
+    [line] = err.splitlines()
+    assert line.startswith("error: moment violation: dimension r has no variance")
+    assert repr(_p_del("--profile", _profile(2, 0, 4, 0, 8, 0, 16, 0))) == "460.93191357435"
+    point_mass = {"kind": "gaussian", "mu_r": 1.0}
+    assert repr(_p_del("--dist", point_mass)) == "29.080491574350003"
+
+
+def test_zero_probability_point_is_never_drawn():
+    """A point of probability 0 adds nothing to the moments, even where its
+    fourth power overflows: the input is the single point 1."""
+    spec = {"kind": "constellation", "points": [[1, 0], [1e80, 0]], "probs": [1, 0]}
+    code, out, err = _power_eval("--dist", spec)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1].split(",")[-1] == "29.080491574350003"
+    assert _p_del("--dist", spec) == _p_del("--dist", {"kind": "constellation",
+                                                        "points": [[1, 0]]})
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "the following arguments are required: command"),
+    (["bogus"], "argument command: invalid choice: 'bogus' (choose from "
+                "'series-verify', 'power-eval', 'mc-validate', 'region')"),
+], ids=["none", "unknown"])
+def test_missing_or_unknown_subcommand_is_a_usage_error(capsys, argv, message):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("usage: swipt [-h] {series-verify,power-eval,mc-validate,region} ...\n"
+                            f"swipt: error: {message}\n")

@@ -26,7 +26,7 @@ from swipt.moments import (
     profile_of,
     q_tilde,
 )
-from swipt.rectenna import ChannelParams
+from swipt.rectenna import ChannelParams, delivered_power
 from swipt.series import s_coeff
 from swipt.simulate import closed_form_delivered_power, draw_symbols
 
@@ -92,17 +92,60 @@ class TestProfileValidation:
             MomentProfile(0.0, 0.5, 1.0, 1.0, 0.0, 0.0, 1.0, 1.0)
 
     def test_singular_valid_profiles_pass(self):
+        """Point masses in one or both parts, two-point parts, and flash
+        inputs whose rare point lifts Q far above P^2, at any scale of P."""
         bpsk = FiniteConstellation((1.0, -1.0), (0.5, 0.5))
+        flash = 10.0**0.5 * complex(math.cos(0.3), math.sin(0.3))
         profiles = [
             QPSK_PROFILE,
             profile_of(FiniteConstellation.qpsk()),
             profile_of(bpsk),
             MomentProfile(2.0, 0.0, 4.0, 0.0, 8.0, 0.0, 16.0, 0.0),
+            profile_of(GaussianGeneral(1.0, 0.0, 0.0, 0.0)),
+            profile_of(GaussianGeneral(1.0, -3.0, 1e-14, 1e-20)),
+            profile_of(FiniteConstellation((0.1 + 1j, 0.1 - 1j))),
+            profile_of(FiniteConstellation((0.0, flash), (0.9, 0.1))),
+            profile_of(FiniteConstellation((0.0, 1e-5), (1.0 - 1e-6, 1e-6))),
+            profile_of(FiniteConstellation((0.0, 1e5j), (1.0 - 1e-12, 1e-12))),
         ]
         for dist in (FiniteConstellation.qpsk(), bpsk):
             profiles.append(empirical_profile(draw_symbols(dist, 10_000, 3)))
         for p in profiles:
             assert from_json(MomentProfile, dataclasses.asdict(p), "profile") == p
+
+    def test_negative_even_moment(self):
+        with pytest.raises(ValueError, match="negative even moment in dimension r"):
+            MomentProfile(0.0, 0.0, -1.0, 1.0, 0.0, 0.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="negative even moment in dimension i"):
+            MomentProfile(0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0, -1.0)
+
+    def test_hankel_terms_past_the_float_range(self):
+        """T_r^2 = 1e500 > P_r*Q_r = 1e400: both sides overflow, so only a
+        pivot kept in range sees it.  With T_r = 1e200 and Q_r = 1e301 the
+        profile is valid, and its delivered power is a float."""
+        with pytest.raises(ValueError, match="determinant in dimension r"):
+            MomentProfile(0.0, 0.0, 1e100, 0.0, 1e250, 0.0, 1e300, 0.0)
+        valid = MomentProfile(0.0, 0.0, 1e100, 0.0, 1e200, 0.0, 1e301, 0.0)
+        assert delivered_power(valid, ChannelParams()) == 1.9145000000000002e+302
+
+    @pytest.mark.parametrize("profile, dim", [
+        ((0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 5.0, 3.0), "r"),
+        ((1.0, 0.0, 1.0, 1.0, 1.0, 0.0, 7.0, 3.0), "r"),
+        ((0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 2.0), "i"),
+        ((1.0, 0.0, 1.0, 1.0, 1.5, 0.0, 3.0, 3.0), "r"),
+    ], ids=["Q_r-at-zero", "Q_r-at-one", "Q_i-at-zero", "T_r-at-one"])
+    def test_no_variance_is_a_point_mass(self, profile, dim):
+        """P = mu^2 leaves X = mu the only distribution, so T = mu*P and
+        Q = P^2; a semidefinite Hankel matrix does not imply the Q rule."""
+        with pytest.raises(ValueError, match=f"dimension {dim} has no variance"):
+            MomentProfile(*profile)
+
+    def test_zero_probability_point_adds_nothing(self):
+        """A point never drawn leaves the profile as it is, even one whose
+        fourth power overflows (0 * inf would be nan)."""
+        for far in (2.0, 1e80):
+            dist = FiniteConstellation((1.0, far), (1.0, 0.0))
+            assert profile_of(dist) == profile_of(FiniteConstellation((1.0,)))
 
     def test_swapped(self):
         p = gaussian_profile(0.5, -0.2, 1.0, 0.3)

@@ -419,3 +419,33 @@ def test_kkt_check_matches_nnls_reference():
             for field in mults:
                 assert abs(getattr(report, field) - getattr(ref, field)) <= 1e-12 * scale
     assert unique_seen > 1000
+
+
+def test_slackness_flag_is_primal_feasibility():
+    """Each multiplier is nonnegative and nonzero only where its constraint
+    is tight, so complementary slackness and dual feasibility hold by
+    construction, and the flag is primal feasibility: the budget not
+    exceeded and the target met, within 1e-6.  Checked on budgets overrun
+    and targets missed, by less and by more than that, and on targets at
+    the frontier's ends."""
+    rng = np.random.default_rng(1801)
+    seen = set()
+    for alloc, mu_r, mu_i, P_a, P_d, ch in random_kkt_inputs(rng, 4000):
+        P_a *= rng.choice([1.0, 1.0 - 1e-8, 1.0 - 1e-4, rng.uniform(0.5, 1.0)])
+        P_d = rng.choice([P_d * rng.choice([1.0, 1.0 + 1e-8, 1.0 + 1e-4, 2.0]),
+                          pdc_min(P_a, ch), pdc_max(P_a, ch), 0.0])
+        report = kkt_check(alloc, mu_r, mu_i, P_a, P_d, ch)
+        used = alloc.P_r + alloc.P_i
+        var_r, var_i = (max(p - m * m, 0.0) for p, m in ((alloc.P_r, mu_r), (alloc.P_i, mu_i)))
+        power = delivered_power(gaussian_profile(mu_r, mu_i, var_r, var_i), ch)
+        feasible = bool(used <= P_a + 1e-6 * max(1.0, P_a)
+                        and power >= P_d - 1e-6 * max(1.0, abs(P_d)))
+        assert report.complementary_slackness_ok is feasible  # a bool for numpy P_d too
+        seen.add(feasible)
+        for mult, tight in ((report.lambda1, abs(P_a - used) <= 1e-6 * max(1.0, P_a)),
+                            (report.lambda2, abs(power - P_d) <= 1e-6 * max(1.0, abs(P_d))),
+                            (report.zeta_r, var_r <= 1e-6 * max(1.0, P_a)),
+                            (report.zeta_i, var_i <= 1e-6 * max(1.0, P_a))):
+            assert mult >= 0.0
+            assert tight or mult == 0.0
+    assert seen == {True, False}
