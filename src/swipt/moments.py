@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import sys
 from dataclasses import dataclass
 
 __all__ = [
@@ -33,7 +32,6 @@ __all__ = [
 
 _FIELDS = ("mu_r", "mu_i", "P_r", "P_i", "T_r", "T_i", "Q_r", "Q_i")
 _REL_SLACK = 1e-12  # float headroom for the moment inequalities
-_NO_VARIANCE = 4.0 * sys.float_info.epsilon  # var/P of a point mass, for rounding
 
 
 @dataclass(frozen=True)
@@ -47,10 +45,11 @@ class MomentProfile:
     [mu, P, T], [P, T, Q]] must be positive semidefinite (Curto & Fialkow
     1991): its LDL^T pivots var = P - mu^2 and (Q - P^2) - (T - mu*P)^2/var
     are nonnegative, the last tested as |T - mu*P| <= sqrt(var)*sqrt(Q - P^2),
-    whose terms stay finite for any real distribution.  A var within rounding
-    of zero (4 machine epsilons of P) is none: the input is then a point mass
-    at mu, so T = mu*P and Q = P^2.  Each rule grants the moments 1e-12 of
-    relative headroom.
+    whose terms stay finite for any real distribution.  Where P is exactly 0
+    the part is the point 0, so Q must be 0 too; a var merely within rounding
+    of 0 is not tested so, since a rare point of a real distribution can give
+    it a Q far above P^2.  Each rule grants the moments 1e-12 of relative
+    headroom.
     """
 
     mu_r: float
@@ -78,15 +77,14 @@ class MomentProfile:
             if spread < -_REL_SLACK * max(1.0, q):
                 raise ValueError(
                     f"Jensen violation: Q_{dim} < P_{dim}^2 ({q} < {p * p})")
-            lag, lag_slack = abs(t - mu * p), _REL_SLACK * max(1.0, abs(t))
-            if var <= _NO_VARIANCE * p:
-                if lag > lag_slack or spread > _REL_SLACK * max(1.0, q):
-                    raise ValueError(
-                        f"moment violation: dimension {dim} has no variance, so T_{dim} "
-                        f"= mu_{dim}*P_{dim} = {mu * p} and Q_{dim} = P_{dim}^2 = {p * p}")
-                continue
-            bound = lag_slack + (math.sqrt(var + _REL_SLACK * max(1.0, p))
-                                 * math.sqrt(spread + _REL_SLACK * max(1.0, q)))
+            if p == 0.0 and q > _REL_SLACK:
+                raise ValueError(
+                    f"moment violation: P_{dim} = 0 makes dimension {dim} the point 0, "
+                    f"so Q_{dim} must be 0, got {q}")
+            lag = abs(t - mu * p)
+            bound = _REL_SLACK * max(1.0, abs(t)) + (
+                math.sqrt(var + _REL_SLACK * max(1.0, p))
+                * math.sqrt(spread + _REL_SLACK * max(1.0, q)))
             if lag > bound:
                 raise ValueError(
                     f"moment violation: Hankel determinant in dimension {dim} is "

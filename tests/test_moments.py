@@ -93,7 +93,8 @@ class TestProfileValidation:
 
     def test_singular_valid_profiles_pass(self):
         """Point masses in one or both parts, two-point parts, and flash
-        inputs whose rare point lifts Q far above P^2, at any scale of P."""
+        inputs whose rare point lifts Q far above P^2, at any scale of P,
+        even where P - mu^2 is within rounding of 0."""
         bpsk = FiniteConstellation((1.0, -1.0), (0.5, 0.5))
         flash = 10.0**0.5 * complex(math.cos(0.3), math.sin(0.3))
         profiles = [
@@ -107,6 +108,8 @@ class TestProfileValidation:
             profile_of(FiniteConstellation((0.0, flash), (0.9, 0.1))),
             profile_of(FiniteConstellation((0.0, 1e-5), (1.0 - 1e-6, 1e-6))),
             profile_of(FiniteConstellation((0.0, 1e5j), (1.0 - 1e-12, 1e-12))),
+            profile_of(FiniteConstellation((1.0, 1e8, -1e8), (1.0, 3e-32, 3e-32))),
+            profile_of(FiniteConstellation((1.0, 1e4), (1.0, 4e-24))),
         ]
         for dist in (FiniteConstellation.qpsk(), bpsk):
             profiles.append(empirical_profile(draw_symbols(dist, 10_000, 3)))
@@ -128,16 +131,16 @@ class TestProfileValidation:
         valid = MomentProfile(0.0, 0.0, 1e100, 0.0, 1e200, 0.0, 1e301, 0.0)
         assert delivered_power(valid, ChannelParams()) == 1.9145000000000002e+302
 
-    @pytest.mark.parametrize("profile, dim", [
-        ((0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 5.0, 3.0), "r"),
-        ((1.0, 0.0, 1.0, 1.0, 1.0, 0.0, 7.0, 3.0), "r"),
-        ((0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 2.0), "i"),
-        ((1.0, 0.0, 1.0, 1.0, 1.5, 0.0, 3.0, 3.0), "r"),
-    ], ids=["Q_r-at-zero", "Q_r-at-one", "Q_i-at-zero", "T_r-at-one"])
-    def test_no_variance_is_a_point_mass(self, profile, dim):
-        """P = mu^2 leaves X = mu the only distribution, so T = mu*P and
-        Q = P^2; a semidefinite Hankel matrix does not imply the Q rule."""
-        with pytest.raises(ValueError, match=f"dimension {dim} has no variance"):
+    @pytest.mark.parametrize("profile, match", [
+        ((0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 5.0, 3.0), "P_r = 0 makes dimension r the point 0"),
+        ((0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 2.0), "P_i = 0 makes dimension i the point 0"),
+        ((1.0, 0.0, 1.0, 1.0, 1.5, 0.0, 3.0, 3.0), "determinant in dimension r"),
+    ], ids=["Q_r-at-zero", "Q_i-at-zero", "T_r-at-one"])
+    def test_part_without_variance(self, profile, match):
+        """P = 0 makes the part the point 0, so its Q is 0, which a
+        semidefinite Hankel matrix does not imply; with P = mu^2 = 1 the
+        last pivot still ties T to mu*P."""
+        with pytest.raises(ValueError, match=match):
             MomentProfile(*profile)
 
     def test_zero_probability_point_adds_nothing(self):
