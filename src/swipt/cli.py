@@ -412,7 +412,8 @@ def cmd_mc_validate(args, config):
             "estimate": est.mean,
             "std_error": est.std_error,
             "closed_form": closed_form,
-            "z_score": (est.mean - closed_form) / est.std_error,
+            # a zero standard error gives no z-score: NaN, which _write rejects
+            "z_score": (est.mean - closed_form) / est.std_error if est.std_error else math.nan,
             "n": est.n_samples,
             "seed": est.seed,
         })

@@ -5,11 +5,13 @@ in the split and the harvested power is a quadratic in it,
 P(P_i) = pdc_max - 4*(alpha + alpha_tilde)*P_i*(P_a - P_i): maximal when
 everything rides one axis and minimal at the even split.  The endpoints,
 the solver, the sweep and kkt_check take P_a, and any target P_d, through
-rectenna's one budget rule; all but kkt_check evaluate its one zero-mean
-Gaussian quadratic.  The solver returns the rate-optimal split meeting a
-target as its root, the sweep lists the frontier as RPPoint named tuples
-(rate, power, P_r, P_i), and kkt_check solves the stationarity rows for the
-first-order multipliers at a candidate point to certify (or falsify) it.
+rectenna's one budget rule and evaluate its one zero-mean Gaussian
+quadratic, kkt_check less its closed-form mean term.  The solver returns
+the rate-optimal split meeting a target as its root, the sweep lists the
+frontier as RPPoint named tuples (rate, power, P_r, P_i), and kkt_check
+solves the stationarity rows for the first-order multipliers at a
+candidate point to certify (or falsify) it.  Every rate takes its SNR slope
+through one rule: it must be finite.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .moments import GaussianZeroMean, _integer, derived_moments, gaussian_profile
-from .rectenna import _budget, _gaussian_power, _power, coeffs
+from .moments import GaussianZeroMean, _integer
+from .rectenna import _budget, _gaussian_power, coeffs
 
 __all__ = [
     "Infeasible",
@@ -69,8 +71,14 @@ class KktReport:
 
 
 def _snr_gain(ch):
-    # per-dimension SNR slope: 2|h|^2 / (f_w * sigma_w2)
-    return 2.0 * abs(ch.h) ** 2 / (ch.f_w * ch.sigma_w2)
+    # The slope rule: the per-dimension SNR slope 2|h|^2 / (f_w * sigma_w2)
+    # is finite, else no rate is (a noise product below the float range
+    # counts as infinite).  Only the rate uses it.
+    noise = ch.f_w * ch.sigma_w2
+    a = 2.0 * abs(ch.h) ** 2 / noise if noise else math.inf
+    if not math.isfinite(a):
+        raise ValueError("the SNR slope 2|h|^2/(f_w*sigma_w2) is not finite on this channel")
+    return a
 
 
 def _rate(P_r, P_i, ch):
@@ -175,21 +183,36 @@ def kkt_check(alloc, mu_r, mu_i, P_a, P_d, ch):
     So complementary slackness and dual feasibility hold by construction,
     complementary_slackness_ok is primal feasibility (budget kept and target
     met, within 1e-6), and a point with no valid multipliers keeps a residual.
-    The mean enters only the mu rows, which vanish at mu = 0, where optima sit.
+
+    The delivered power is closed form: a Gaussian part with mean mu and
+    power P = mu^2 + var has Q = Q_tilde = 3*(P_r^2 + P_i^2) + 2*P_r*P_i
+    - 2*(mu_r^4 + mu_i^4), so it is rectenna's zero-mean quadratic less
+    2*(alpha + alpha_tilde)*(mu_r^4 + mu_i^4): at a fixed power a mean only
+    lowers it.  The mean enters the multipliers only through the mu rows,
+    which hold that term's derivative and vanish at mu = 0, where optima sit.
+
+    Besides the budget rule, a mean whose square exceeds its part's power by
+    more than 1e-6 raises ValueError (the variance is clamped at 0 within
+    that), and so does a candidate whose delivered power is not finite: a
+    NaN mean, or powers whose fourth moments overflow, whatever k4.  So does
+    a channel whose SNR slope is not finite.
     """
     c = coeffs(ch)
     P_a, _ = _budget(c, P_a, P_d)
     a = _snr_gain(ch)
     c1 = 0.5 * ch.f_w / math.log(2.0)  # rate in bits
-    var_r = alloc.P_r - mu_r * mu_r
-    var_i = alloc.P_i - mu_i * mu_i
+    m2_r, m2_i = mu_r * mu_r, mu_i * mu_i  # by *: float ** raises on overflow
+    var_r, var_i = alloc.P_r - m2_r, alloc.P_i - m2_i
     if var_r < -_KKT_TOL or var_i < -_KKT_TOL:
         raise ValueError("mean exceeds power: negative variance")
-    var_r = max(var_r, 0.0)
-    var_i = max(var_i, 0.0)
+    var_r, var_i = max(var_r, 0.0), max(var_i, 0.0)
 
-    p_del = _power(c, derived_moments(gaussian_profile(mu_r, mu_i, var_r, var_i)))
     asum = c.alpha + c.alpha_tilde
+    p_del = (_gaussian_power(c, m2_r + var_r, m2_i + var_i)
+             - 2.0 * asum * (m2_r * m2_r + m2_i * m2_i))
+    if not math.isfinite(p_del):
+        raise ValueError(f"candidate P_r = {alloc.P_r!r}, P_i = {alloc.P_i!r}, "
+                         f"mu_r = {mu_r!r}, mu_i = {mu_i!r} has no finite delivered power")
     bsum = c.beta + c.beta_tilde
     # d(power)/dP: symmetric in the two dimensions
     grad_r = 2.0 * asum * (3.0 * alloc.P_r + alloc.P_i) + bsum

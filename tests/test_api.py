@@ -41,6 +41,16 @@ def test_oracles_live_in_tests(name):
     assert not hasattr(RPPoint, "allocation")
 
 
+def test_tradeoff_builds_no_moment_profile():
+    """tradeoff evaluates one power expression, rectenna's zero-mean
+    Gaussian quadratic (kkt_check less its closed-form mean term), and
+    never goes through a moment profile."""
+    from swipt import tradeoff
+
+    for attr in ("derived_moments", "gaussian_profile", "_power", "MomentProfile"):
+        assert not hasattr(tradeoff, attr), f"swipt.tradeoff.{attr}"
+
+
 @pytest.mark.parametrize("name", MODULES)
 def test_json_is_read_by_the_cli_alone(name):
     """No record parses itself from a dict, and only swipt.cli imports json."""
@@ -110,11 +120,13 @@ def test_cli_runs_without_arrays_leave_numpy_unloaded(argv, code):
 @pytest.mark.parametrize("message", [
     "P_a must be positive and finite", "overflows the delivered power",
     "P_d must be finite", "leaves the float range", "must be at most", "must be >= {",
+    "2|h|^2/(f_w*sigma_w2) is not finite", "has no finite delivered power",
 ])
 def test_each_input_rule_has_one_owner(message):
     """Each input rule is written once in the package: the budget, its
     overflow bound and the target in rectenna, the float range in simulate,
-    sizes in moments._integer."""
+    sizes in moments._integer, the SNR slope in tradeoff._snr_gain and the
+    candidate in tradeoff.kkt_check."""
     sources = [inspect.getsource(importlib.import_module(f"swipt.{name}"))
                for name in MODULES]
     assert sum(source.count(message) for source in sources) == 1

@@ -666,6 +666,48 @@ def test_gain_squaring_past_the_float_range_is_a_config_error():
     assert line.startswith("error: channel field h overflows when squared")
 
 
+_ZERO_SE_DIST = '{"kind": "constellation", "points": [[0, 0]]}'
+_SLOPE_CHANNELS = {"slope-underflowing-noise": {"sigma_w2": 1e-200, "f_w": 1e-200},
+                   "slope-overflow": {"sigma_w2": 1e-320}}
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["mc-validate", "--dist", _ZERO_SE_DIST, "--config",
+                  json.dumps({"channel": {"sigma_w2": 1e-300},
+                              "mc": {"n_symbols": 2000, "oversample": 2}})],
+                 id="zero-standard-error"),
+    *(pytest.param(["region", "--n-points", "3", "--config", json.dumps({"channel": channel})],
+                   id=name) for name, channel in _SLOPE_CHANNELS.items()),
+])
+def test_degenerate_estimate_or_slope_exits_2(argv):
+    """mc-validate whose block values all underflow to one value (a standard
+    error of 0, so no z-score), and region on a channel whose SNR slope
+    2|h|^2/(f_w*sigma_w2) is not finite, exit 2 with one error line and
+    nothing on stdout.  A fresh process, so a traceback or a numpy warning
+    would show."""
+    proc = subprocess.run([sys.executable, "-m", "swipt.cli", *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error: ")
+
+
+@pytest.mark.parametrize("name", _SLOPE_CHANNELS)
+def test_slope_rule_leaves_power_eval_and_mc_validate_alone(name):
+    """power-eval and mc-validate use no rate, so the slope rule leaves them
+    alone: power-eval prints its breakdown on both channels, and mc-validate
+    runs at sigma_w2 = 1e-320, while at f_w = 1e-200, whose coefficients
+    near 1e201 square past the float range, the estimator's own range rule
+    stops it with exit 2."""
+    config = json.dumps({"channel": _SLOPE_CHANNELS[name],
+                         "mc": {"n_symbols": 2000, "oversample": 2}})
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["power-eval", "--dist", '{"kind": "qpsk"}', "--config", config]) == 0
+        assert main(["mc-validate", "--config", config]) == (
+            0 if name == "slope-overflow" else 2)
+
+
 @pytest.mark.parametrize("command", ["power-eval", "mc-validate"])
 @pytest.mark.parametrize("spec, moment", [
     ('{"kind": "constellation", "points": [[1e80, 0]]}', "Q_r"),

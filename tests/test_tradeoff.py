@@ -8,11 +8,14 @@ import dataclasses
 import math
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from swipt.moments import gaussian_profile
+from swipt.moments import derived_moments, gaussian_profile
 from swipt.rectenna import ChannelParams, _gaussian_power, coeffs, delivered_power
 from swipt.simulate import GaussianZeroMean
 from swipt.tradeoff import (
@@ -371,6 +374,114 @@ class TestKktCheck:
             "stationarity_residual_mu_r", "stationarity_residual_mu_i",
             "complementary_slackness_ok",
         }
+
+
+@pytest.mark.parametrize("channel", [{"sigma_w2": 1e-200, "f_w": 1e-200},
+                                     {"sigma_w2": 1e-320}], ids=repr)
+def test_slope_that_is_not_finite_is_a_value_error(channel):
+    """Every rate takes the SNR slope 2|h|^2/(f_w*sigma_w2) through one rule:
+    a noise product below the float range (no ZeroDivisionError) or a slope
+    past it (no NaN multipliers or numpy warning) raises ValueError."""
+    ch = ChannelParams(**channel)
+    alloc = GaussianZeroMean(0.5, 0.5)
+    calls = (lambda: rate_gaussian(alloc, ch), lambda: rp_region(1.0, ch, 3),
+             lambda: kkt_check(alloc, 0.0, 0.0, 1.0, 10.0, ch))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(ValueError, match="is not finite on this channel"):
+                call()
+
+
+_NO_FINITE_POWER = {
+    "nan-mean": (GaussianZeroMean(0.5, 0.5), math.nan),
+    "overflowing-power": (GaussianZeroMean(1e200, 0.0), 0.0),
+    "overflowing-mean": (GaussianZeroMean(1e220, 0.0), 1e110),
+}
+
+
+@pytest.mark.parametrize("k4", [19.145, 0.0])
+@pytest.mark.parametrize("candidate", _NO_FINITE_POWER)
+def test_candidate_without_finite_power_is_a_value_error(candidate, k4):
+    """kkt_check's candidate rule: a NaN mean, or powers whose fourth moments
+    overflow (1e110^4 by multiplication, where float ** would raise
+    OverflowError), raise ValueError; at k4 = 0 too, where the overflowed
+    moment times a zero weight is NaN.  No numpy warning comes first."""
+    alloc, mu_r = _NO_FINITE_POWER[candidate]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="has no finite delivered power"):
+            kkt_check(alloc, mu_r, 0.0, 1.0, 10.0, ChannelParams(k4=k4))
+
+
+# Powers over the whole float range, and means as a signed share of their
+# part's root power, or NaN.
+_POWERS = st.floats(0.0, 1e300) | st.floats(0.0, 10.0)
+_SHARES = st.floats(-1.0, 1.0) | st.just(math.nan)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(P_r=_POWERS, P_i=_POWERS, share_r=_SHARES, share_i=_SHARES,
+       full_budget=st.booleans(), P_d=st.sampled_from([0.0, 10.0]),
+       k4=st.sampled_from([19.145, 0.0]))
+def test_kkt_check_reports_finite_numbers_or_raises(P_r, P_i, share_r, share_i,
+                                                    full_budget, P_d, k4):
+    """Any candidate either gets a report of finite numbers or raises
+    ValueError: never OverflowError, a numpy warning or a NaN field."""
+    alloc = GaussianZeroMean(P_r, P_i)
+    P_a = P_r + P_i if full_budget and P_r + P_i > 0.0 else 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            report = kkt_check(alloc, share_r * math.sqrt(P_r), share_i * math.sqrt(P_i),
+                               P_a, P_d, ChannelParams(k4=k4))
+        except ValueError:
+            return
+    assert all(math.isfinite(x) for x in dataclasses.astuple(report)[:-1])
+
+
+def test_gaussian_power_closed_form_symbolic():
+    """kkt_check's closed form, from the package's own derived_moments and
+    q_tilde fed symbolic Gaussian moments: a part with mean mu and power
+    P = mu^2 + v has T = mu^3 + 3*mu*v and Q = mu^4 + 6*mu^2*v + 3*v^2, so
+    Q = Q_tilde = 3*(P_r^2 + P_i^2) + 2*P_r*P_i - 2*(mu_r^4 + mu_i^4), whose
+    slope in the mean at fixed P is -8*mu^3: the power half of the paper's
+    zero-mean claim.  nsimplify reads the code's float literals (2.0, 6.0,
+    /3.0) as the rationals they stand for, so each difference is exactly 0."""
+    sp = pytest.importorskip("sympy")
+    mu_r, mu_i, P_r, P_i = sp.symbols("mu_r mu_i P_r P_i", real=True)
+
+    def third_fourth(mu, P):
+        v = P - mu**2
+        return mu**3 + 3 * mu * v, mu**4 + 6 * mu**2 * v + 3 * v**2
+
+    (T_r, Q_r), (T_i, Q_i) = third_fourth(mu_r, P_r), third_fourth(mu_i, P_i)
+    d = derived_moments(SimpleNamespace(mu_r=mu_r, mu_i=mu_i, P_r=P_r, P_i=P_i,
+                                        T_r=T_r, T_i=T_i, Q_r=Q_r, Q_i=Q_i))
+    closed = 3 * (P_r**2 + P_i**2) + 2 * P_r * P_i - 2 * (mu_r**4 + mu_i**4)
+    assert sp.expand(d.P - (P_r + P_i)) == 0
+    for fourth in (sp.nsimplify(d.Q), sp.nsimplify(d.Q_tilde)):
+        assert sp.expand(fourth - closed) == 0
+        assert sp.expand(sp.diff(fourth, mu_r) + 8 * mu_r**3) == 0
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(P_r=st.floats(0.0, 3.0), P_i=st.floats(0.0, 3.0),
+       share_r=st.floats(-1.0, 1.0), share_i=st.floats(-1.0, 1.0),
+       h=st.complex_numbers(max_magnitude=2.0), h_tilde=st.complex_numbers(max_magnitude=2.0),
+       k2=st.floats(0.0, 1.0), k4=st.floats(0.0, 30.0))
+def test_a_mean_never_raises_rate_or_power(P_r, P_i, share_r, share_i, h, h_tilde, k2, k4):
+    """At equal per-dimension powers, a Gaussian input with a mean delivers
+    no more power (by the profile route, within 1e-14 of rounding) and
+    carries no more rate (that of its variances) than the zero-mean one."""
+    ch = ChannelParams(h=h, h_tilde=h_tilde, k2=k2, k4=k4)
+    mu_r, mu_i = share_r * math.sqrt(P_r), share_i * math.sqrt(P_i)
+    var_r, var_i = max(P_r - mu_r * mu_r, 0.0), max(P_i - mu_i * mu_i, 0.0)
+    profile = gaussian_profile(mu_r, mu_i, var_r, var_i)
+    zero_mean = GaussianZeroMean(profile.P_r, profile.P_i)
+    power = delivered_power(gaussian_profile(0.0, 0.0, zero_mean.P_r, zero_mean.P_i), ch)
+    assert delivered_power(profile, ch) <= power * (1.0 + 1e-14)
+    assert rate_gaussian(GaussianZeroMean(var_r, var_i), ch) <= rate_gaussian(zero_mean, ch)
 
 
 def random_kkt_inputs(rng, n):
