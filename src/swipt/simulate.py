@@ -10,12 +10,17 @@ Reproducibility contract: every 1000-draw block gets its own counter-based
 substream (Philox keyed by seed XOR a hash of the purpose tag and block
 index), and real parts are always drawn before imaginary parts.  Results are
 therefore bit-identical no matter how the work is split — prefixes of the
-symbol stream are even stable under changes of the total length.
+symbol stream are even stable under changes of the total length.  Each draw
+shares its blocks out over up to two threads, one per usable CPU, and gives
+the same bytes at any thread count.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -59,6 +64,10 @@ _MASK64 = (1 << 64) - 1
 
 ESTIMATORS = ("oversampled", "half_rate")
 
+# Threads that share one stream's draws: two at most, one per usable CPU.
+_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
+
 
 def _mix64(x):
     # SplitMix64 finalizer: consecutive block indices land far apart in key space.
@@ -76,47 +85,106 @@ def _substream(seed, domain, index):
     return np.random.Generator(np.random.Philox(key=_substream_key(seed, domain, index)))
 
 
-def _substreams(seed, domain, n_blocks):
-    # The generators of blocks 0 .. n_blocks-1, in order.  One Philox is
-    # re-keyed through its public state setter into the state a freshly built
-    # _substream(seed, domain, b) starts in: zero counter, empty buffer.
-    gen = _substream(seed, domain, 0)
+def _substreams(seed, domain, n_blocks, start=0):
+    # The generators of blocks start .. start+n_blocks-1, in order.  One
+    # Philox is re-keyed through its public state setter into the state a
+    # freshly built _substream(seed, domain, b) starts in: zero counter,
+    # empty buffer.
+    gen = _substream(seed, domain, start)
     fresh = gen.bit_generator.state
-    for b in range(n_blocks):
-        if b:
+    for b in range(start, start + n_blocks):
+        if b > start:
             fresh["state"]["key"][0] = _substream_key(seed, domain, b)
             gen.bit_generator.state = fresh
         yield gen
 
 
+def _fill_constellation(dist, rows, seed, domain, start):
+    # Generator.choice with probabilities, inlined: the block's uniforms,
+    # drawn by random(), which fills without holding the GIL where choice
+    # holds it, searched in the cumulative table choice builds.  The
+    # indices are in range, so take may clip instead of buffering.
+    pts = np.asarray(dist.points)
+    cdf = np.asarray(dist.probs).cumsum()
+    cdf /= cdf[-1]
+    uniforms = np.empty((_CHUNK_ROWS, _BLOCK))
+    streams = _substreams(seed, domain, len(rows), start)
+    for first in range(0, len(rows), _CHUNK_ROWS):
+        chunk = uniforms[:len(rows) - first]
+        for block, gen in zip(chunk, streams):
+            gen.random(out=block)
+        np.take(pts, cdf.searchsorted(chunk, side="right"), mode="clip",
+                out=rows[first:first + len(chunk)])
+
+
+def _fill_gaussian(dist, rows, seed, domain, start):
+    # Real parts before imaginary parts within a block; blocks are drawn
+    # _CHUNK_ROWS at a time into one reused buffer, scaled there and
+    # combined straight into their rows as 1j*im + re, which rounds and
+    # signs its zeros as re + 1j*im does: IEEE sums and products commute.
+    normals = np.empty((_CHUNK_ROWS, 2, _BLOCK))
+    streams = _substreams(seed, domain, len(rows), start)
+    for first in range(0, len(rows), _CHUNK_ROWS):
+        chunk = normals[:len(rows) - first]
+        for block, gen in zip(chunk, streams):
+            gen.standard_normal(out=block)
+        re, im = chunk[:, 0], chunk[:, 1]
+        if isinstance(dist, GaussianZeroMean):
+            re *= math.sqrt(dist.P_r)
+            im *= math.sqrt(dist.P_i)
+        else:
+            re *= math.sqrt(dist.var_r)
+            re += dist.mu_r
+            im *= math.sqrt(dist.var_i)
+            im += dist.mu_i
+        target = rows[first:first + len(chunk)]
+        np.multiply(im, 1j, out=target)
+        target += re
+
+
+def _run_share(errors, fill, *args):
+    # A worker's share; its exception is handed to the caller.
+    try:
+        fill(*args)
+    except BaseException as exc:
+        errors.append(exc)
+
+
 def _draw(dist, n, seed, domain):
     # Block b of the stream comes from substream (seed, domain, b) and always
     # consumes a full _BLOCK worth of draws (a short tail is sliced), so
-    # extending n never disturbs values already produced.  Within a block the
-    # real parts are drawn before the imaginary parts.  Gaussian blocks are
-    # drawn and scaled _CHUNK_ROWS at a time through one reused buffer.
-    n_blocks = -(-n // _BLOCK)
-    streams = _substreams(seed, domain, n_blocks)
-    out = np.empty((n_blocks, _BLOCK), dtype=complex)
+    # extending n never disturbs values already produced.  The blocks are
+    # cut into up to _WORKERS contiguous shares, each filled into its own
+    # rows of `out` by its own re-keyed generator: the caller fills the
+    # first, one thread each the others (numpy's fills release the GIL).
+    # Every block sees the same draws whatever the split, so the bytes are
+    # the same at any thread count.  The threads run in a copy of the
+    # caller's context, so the caller's numpy error state holds in them,
+    # and are joined before the call returns or raises.
     if isinstance(dist, FiniteConstellation):
-        pts, probs = np.asarray(dist.points), np.asarray(dist.probs)
-        for row, gen in zip(out, streams):
-            row[:] = pts[gen.choice(pts.size, size=_BLOCK, p=probs)]
-        return out.reshape(-1)[:n]
-    if not isinstance(dist, (GaussianZeroMean, GaussianGeneral)):
+        fill = _fill_constellation
+    elif isinstance(dist, (GaussianZeroMean, GaussianGeneral)):
+        fill = _fill_gaussian
+    else:
         raise TypeError(f"unsupported input distribution: {dist!r}")
-    normals = np.empty((_CHUNK_ROWS, 2, _BLOCK))
-    for start in range(0, n_blocks, _CHUNK_ROWS):
-        chunk = normals[:n_blocks - start]
-        for block, gen in zip(chunk, streams):
-            gen.standard_normal(out=block)
-        if isinstance(dist, GaussianZeroMean):
-            re = chunk[:, 0] * math.sqrt(dist.P_r)
-            im = chunk[:, 1] * math.sqrt(dist.P_i)
-        else:
-            re = dist.mu_r + chunk[:, 0] * math.sqrt(dist.var_r)
-            im = dist.mu_i + chunk[:, 1] * math.sqrt(dist.var_i)
-        out[start:start + len(chunk)] = re + 1j * im
+    n_blocks = -(-n // _BLOCK)
+    out = np.empty((n_blocks, _BLOCK), dtype=complex)
+    shares = min(_WORKERS, n_blocks)
+    bounds = [n_blocks * k // shares for k in range(shares + 1)]
+    errors, threads = [], []
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            thread = threading.Thread(
+                target=contextvars.copy_context().run,
+                args=(_run_share, errors, fill, dist, out[lo:hi], seed, domain, lo))
+            thread.start()
+            threads.append(thread)
+        fill(dist, out[:bounds[1]], seed, domain, 0)
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
     return out.reshape(-1)[:n]
 
 
@@ -397,9 +465,11 @@ def mc_delivered_power(dist, ch, n_symbols, oversample, seed,
     them.  The standard error comes from means over 1000-symbol blocks.  A
     value past the float range raises ValueError, not a non-finite estimate.
 
-    Memory: the mid-samples come from overlap-save frames of a few
-    thousand points, transformed a few frames at a time, and the channel
-    outputs are formed in place.  The oversampled estimator never builds
+    Memory: the symbol and noise draws are filled straight into their
+    arrays, on up to two threads with the same bytes as one, each thread
+    through a scratch buffer of a few blocks.  The mid-samples come from
+    overlap-save frames of a few thousand points, transformed a few frames
+    at a time, and the channel outputs are formed in place.  The oversampled estimator never builds
     its n*oversample grid.  Phase 0 is the integer-time sequence and, for
     even `oversample`, phase oversample/2 the mid-sample sequence, so those
     are reduced as they are; at oversample 2 that is every phase and no FFT

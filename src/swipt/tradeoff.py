@@ -11,7 +11,8 @@ the rate-optimal split meeting a target as its root, the sweep lists the
 frontier as RPPoint named tuples (rate, power, P_r, P_i), and kkt_check
 solves the stationarity rows for the first-order multipliers at a
 candidate point to certify (or falsify) it.  Every rate takes its SNR slope
-through one rule: it must be finite.
+through one rule: it must be finite; and a rate past the float range raises
+ValueError instead of coming back infinite.
 """
 
 from __future__ import annotations
@@ -82,14 +83,21 @@ def _snr_gain(ch):
 
 
 def _rate(P_r, P_i, ch):
-    # elementwise over scalars or arrays of per-dimension powers
+    # elementwise over scalars or arrays of per-dimension powers; a rate
+    # past the float range (a*P or f_w times the logs overflowing) raises
     a = _snr_gain(ch)
-    return 0.5 * ch.f_w * (np.log2(1.0 + a * P_r) + np.log2(1.0 + a * P_i))
+    with np.errstate(over="ignore"):
+        rate = 0.5 * ch.f_w * (np.log2(1.0 + a * P_r) + np.log2(1.0 + a * P_i))
+    if not np.isfinite(rate).all():
+        raise ValueError("the rate 0.5*f_w*(log2(1 + a*P_r) + log2(1 + a*P_i)) "
+                         "is not finite at these powers")
+    return rate
 
 
 def rate_gaussian(alloc, ch):
     """Information rate (bits/s) of a zero-mean Gaussian input with the given
-    per-dimension powers; only the integer-time gain h enters."""
+    per-dimension powers; only the integer-time gain h enters.  A rate past
+    the float range raises ValueError."""
     return float(_rate(alloc.P_r, alloc.P_i, ch))
 
 
@@ -176,7 +184,8 @@ def kkt_check(alloc, mu_r, mu_i, P_a, P_d, ch):
       and, with k2, k4 >= 0, every other multiplier only adds to them, so
       nothing cancels them;
     * lambda2 free and (rate_i - rate_r)/(grad_r - grad_i) > 0: lambda1 and
-      lambda2 from the 2x2 solve, with zero residual;
+      lambda2 from the 2x2 solve, with zero residual, where both are finite
+      (a gradient gap near zero can send them past the float range);
     * otherwise lambda1 alone: a free zeta on the lower-rate row absorbs the
       gap between the rows, else lambda1 is the mean of the two rates.
 
@@ -228,11 +237,14 @@ def kkt_check(alloc, mu_r, mu_i, P_a, P_d, ch):
     var_i_tight = var_i <= _KKT_TOL * max(1.0, abs(P_a))
 
     lam1 = lam2 = zeta_r = zeta_i = 0.0
-    if budget_tight:
-        if power_tight and (rate_i - rate_r) * (grad_r - grad_i) > 0.0:
-            lam2 = (rate_i - rate_r) / (grad_r - grad_i)
-            lam1 = rate_r + lam2 * grad_r
-        elif rate_r < rate_i and var_r_tight:
+    if budget_tight and power_tight and (rate_i - rate_r) * (grad_r - grad_i) > 0.0:
+        lam2 = (rate_i - rate_r) / (grad_r - grad_i)
+        lam1 = rate_r + lam2 * grad_r
+        if not math.isfinite(lam1):
+            # a gradient gap near zero: the solve has no finite multipliers
+            lam1 = lam2 = 0.0
+    if budget_tight and not lam2:
+        if rate_r < rate_i and var_r_tight:
             lam1, zeta_r = rate_i, rate_i - rate_r
         elif rate_i < rate_r and var_i_tight:
             lam1, zeta_i = rate_r, rate_r - rate_i

@@ -121,12 +121,13 @@ def test_cli_runs_without_arrays_leave_numpy_unloaded(argv, code):
     "P_a must be positive and finite", "overflows the delivered power",
     "P_d must be finite", "leaves the float range", "must be at most", "must be >= {",
     "2|h|^2/(f_w*sigma_w2) is not finite", "has no finite delivered power",
+    "is not finite at these powers",
 ])
 def test_each_input_rule_has_one_owner(message):
     """Each input rule is written once in the package: the budget, its
     overflow bound and the target in rectenna, the float range in simulate,
-    sizes in moments._integer, the SNR slope in tradeoff._snr_gain and the
-    candidate in tradeoff.kkt_check."""
+    sizes in moments._integer, the SNR slope in tradeoff._snr_gain, the
+    rate in tradeoff._rate and the candidate in tradeoff.kkt_check."""
     sources = [inspect.getsource(importlib.import_module(f"swipt.{name}"))
                for name in MODULES]
     assert sum(source.count(message) for source in sources) == 1

@@ -678,13 +678,16 @@ _SLOPE_CHANNELS = {"slope-underflowing-noise": {"sigma_w2": 1e-200, "f_w": 1e-20
                  id="zero-standard-error"),
     *(pytest.param(["region", "--n-points", "3", "--config", json.dumps({"channel": channel})],
                    id=name) for name, channel in _SLOPE_CHANNELS.items()),
+    pytest.param(["region", "--n-points", "3", "--config",
+                  json.dumps({"P_a": 1000, "channel": {"sigma_w2": 1e-307}})],
+                 id="rate-overflow"),
 ])
 def test_degenerate_estimate_or_slope_exits_2(argv):
     """mc-validate whose block values all underflow to one value (a standard
     error of 0, so no z-score), and region on a channel whose SNR slope
-    2|h|^2/(f_w*sigma_w2) is not finite, exit 2 with one error line and
-    nothing on stdout.  A fresh process, so a traceback or a numpy warning
-    would show."""
+    2|h|^2/(f_w*sigma_w2) is not finite or whose rate at a finite slope
+    overflows, exit 2 with one error line and nothing on stdout.  A fresh
+    process, so a traceback or a numpy warning would show."""
     proc = subprocess.run([sys.executable, "-m", "swipt.cli", *argv],
                           capture_output=True, text=True)
     assert proc.returncode == 2

@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 import tracemalloc
 import warnings
 from collections import Counter
@@ -19,6 +20,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from swipt import simulate
 from swipt.moments import gaussian_profile, q_tilde
 from swipt.rectenna import ChannelParams
 from swipt.series import verify
@@ -34,6 +36,7 @@ from swipt.simulate import (
     profile_of,
 )
 from swipt.simulate import (
+    _DOM_NOISE_EVEN,
     _DOM_NOISE_ODD,
     _DOM_QTILDE,
     _DOM_SYMBOLS,
@@ -235,6 +238,98 @@ class TestStreamLayout:
         before = waveform.copy()
         upsample(waveform, 8000)
         assert waveform.tobytes() == before.tobytes()
+
+
+class TestDrawThreads:
+    """The blocks of a draw are shared out over up to _WORKERS threads: the
+    bytes are the same at any thread count, the caller's numpy error state
+    holds in every share, and no thread outlives the call."""
+
+    DOMAINS = (_DOM_SYMBOLS, _DOM_NOISE_EVEN, _DOM_NOISE_ODD, _DOM_QTILDE)
+
+    @pytest.mark.parametrize("dist", TestStreamLayout.DISTS, ids=repr)
+    def test_same_bytes_at_any_thread_count(self, monkeypatch, dist):
+        """1, 2 and 3 threads against the per-block oracle, down to one
+        block, fewer than the threads."""
+        for n in (1, 999, 1001, 12345):
+            for domain in self.DOMAINS:
+                expected = draw_per_block(dist, n, SEED, domain).tobytes()
+                for workers in (1, 2, 3):
+                    monkeypatch.setattr(simulate, "_WORKERS", workers)
+                    assert _draw(dist, n, SEED, domain).tobytes() == expected
+
+    def test_same_bytes_with_more_threads_than_cores_switching_fast(self, monkeypatch):
+        """Five threads on 50 blocks of each kind, switching every
+        microsecond: a share written into another's rows, or an update
+        lost between them, would change the bytes."""
+        monkeypatch.setattr(simulate, "_WORKERS", 5)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for dist in (GaussianGeneral(0.3, -0.1, 1.0, 0.5), FiniteConstellation.qpsk()):
+                ours = _draw(dist, 50_000, SEED, _DOM_NOISE_EVEN)
+                assert ours.tobytes() == draw_per_block(dist, 50_000, SEED,
+                                                        _DOM_NOISE_EVEN).tobytes()
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("dist", [GaussianGeneral(0.3, -0.1, 1.0, 0.5),
+                                      FiniteConstellation.qpsk()], ids=repr)
+    def test_estimates_equal_at_one_and_two_threads(self, monkeypatch, dist):
+        def estimates():
+            return ([mc_delivered_power(dist, CH, 20_000, 4, SEED, window=32,
+                                        estimator=estimator) for estimator in ESTIMATORS],
+                    mc_q_tilde(dist, 200, 16, SEED))
+
+        monkeypatch.setattr(simulate, "_WORKERS", 1)
+        one = estimates()
+        monkeypatch.setattr(simulate, "_WORKERS", 2)
+        assert estimates() == one
+
+    def test_each_share_has_its_own_thread(self, monkeypatch):
+        """13 blocks on 3 threads: contiguous shares of 4, 4 and 5 blocks,
+        the first filled by the caller."""
+        fill, shares = simulate._fill_gaussian, []
+
+        def recording(dist, rows, seed, domain, start):
+            shares.append((start, len(rows), threading.current_thread()))
+            fill(dist, rows, seed, domain, start)
+
+        monkeypatch.setattr(simulate, "_fill_gaussian", recording)
+        monkeypatch.setattr(simulate, "_WORKERS", 3)
+        _draw(GaussianZeroMean(0.5, 0.5), 12345, SEED, _DOM_SYMBOLS)
+        shares.sort(key=lambda share: share[0])
+        assert [share[:2] for share in shares] == [(0, 4), (4, 4), (8, 5)]
+        assert shares[0][2] is threading.current_thread()
+        assert len({id(share[2]) for share in shares}) == 3
+
+    @pytest.mark.parametrize("failing", ["caller", "worker"])
+    def test_overflow_in_a_share_is_a_value_error(self, monkeypatch, failing):
+        """An overflow in either share raises the float-range ValueError in
+        the caller, with no numpy warning: a thread that dropped the
+        caller's error state would only warn, and under this test's filter
+        raise RuntimeWarning instead.  No thread is left running."""
+        fill = simulate._fill_gaussian
+
+        def overflowing(dist, rows, seed, domain, start):
+            fill(dist, rows, seed, domain, start)
+            if (start > 0) == (failing == "worker"):
+                rows[0, 0] = np.float64(1e308) * 10.0
+
+        monkeypatch.setattr(simulate, "_fill_gaussian", overflowing)
+        monkeypatch.setattr(simulate, "_WORKERS", 2)
+        before = threading.active_count()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="the estimate leaves the float range"):
+                mc_q_tilde(GaussianZeroMean(0.5, 0.5), 100, 16, SEED)
+        assert threading.active_count() == before
+
+    def test_no_thread_outlives_a_draw(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_WORKERS", 2)
+        before = threading.active_count()
+        _draw(FiniteConstellation.qpsk(), 12345, SEED, _DOM_SYMBOLS)
+        assert threading.active_count() == before
 
 
 class TestHalfSampleValue:

@@ -393,6 +393,23 @@ def test_slope_that_is_not_finite_is_a_value_error(channel):
                 call()
 
 
+@pytest.mark.parametrize("P_a, channel", [(1000.0, {"sigma_w2": 1e-307}),
+                                          (1e6, {"f_w": 1e308, "sigma_w2": 1e-306})],
+                         ids=["a-times-power", "f_w-times-logs"])
+def test_rate_past_the_float_range_is_a_value_error(P_a, channel):
+    """A finite slope can still give a rate past the float range, by a*P or
+    by f_w times the logs: rate_gaussian and rp_region raise ValueError
+    naming the rate, with no numpy warning first."""
+    ch = ChannelParams(**channel)
+    calls = (lambda: rate_gaussian(GaussianZeroMean(P_a, 0.0), ch),
+             lambda: rp_region(P_a, ch, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(ValueError, match=r"the rate 0\.5\*f_w.* is not finite"):
+                call()
+
+
 _NO_FINITE_POWER = {
     "nan-mean": (GaussianZeroMean(0.5, 0.5), math.nan),
     "overflowing-power": (GaussianZeroMean(1e200, 0.0), 0.0),
@@ -435,6 +452,40 @@ def test_kkt_check_reports_finite_numbers_or_raises(P_r, P_i, share_r, share_i,
         try:
             report = kkt_check(alloc, share_r * math.sqrt(P_r), share_i * math.sqrt(P_i),
                                P_a, P_d, ChannelParams(k4=k4))
+        except ValueError:
+            return
+    assert all(math.isfinite(x) for x in dataclasses.astuple(report)[:-1])
+
+
+def test_kkt_check_with_a_subnormal_gradient_gap():
+    """At k2 = 0 and k4 = 1e-320 the gradient gap 4*(alpha + alpha~)*(P_r - P_i)
+    is subnormal, so the 2x2 solve's multipliers pass the float range: the
+    report falls back to lambda1 alone, finite, with the rate gap left as
+    the residual."""
+    ch = ChannelParams(k2=0.0, k4=1e-320, sigma_w2=1e-300)
+    report = kkt_check(GaussianZeroMean(0.6, 0.4), 0.0, 0.0, 1.0, 0.0, ch)
+    assert all(math.isfinite(x) for x in dataclasses.astuple(report)[:-1])
+    assert report.lambda2 == 0.0
+    assert report.stationarity_residual_Pr == -report.stationarity_residual_Pi != 0.0
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(P_r=_POWERS, P_i=_POWERS, k2=st.sampled_from([0.0, 0.17, 1e10]),
+       k4=st.sampled_from([19.145, 1e-300, 1e-320, 0.0]),
+       sigma_w2=st.sampled_from([1e-4, 1e-300]))
+def test_kkt_check_on_tight_points_reports_finite_numbers_or_raises(P_r, P_i, k2, k4,
+                                                                    sigma_w2):
+    """With budget and power both tight, where the 2x2 solve is tried, on
+    channels whose gradient gap can be subnormal or whose rates differ
+    by far more than it: a report of finite numbers or ValueError, never an
+    infinite multiplier or a NaN residual."""
+    ch = ChannelParams(k2=k2, k4=k4, sigma_w2=sigma_w2)
+    alloc = GaussianZeroMean(P_r, P_i)
+    P_a = P_r + P_i if P_r + P_i > 0.0 else 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            report = kkt_check(alloc, 0.0, 0.0, P_a, _gaussian_power(coeffs(ch), P_r, P_i), ch)
         except ValueError:
             return
     assert all(math.isfinite(x) for x in dataclasses.astuple(report)[:-1])
