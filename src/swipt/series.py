@@ -98,7 +98,7 @@ class SeriesReport:
     abs_error: float
 
 
-def verify(n_terms=1_000_000):
+def verify(n_terms):
     """Reports for all nine series over the window l in [-n_terms, n_terms],
     from one O(n_terms) pass, in the order T0, T1, S0, S1, ..., S6."""
     n = _integer(n_terms, "n_terms", 1)

@@ -44,7 +44,6 @@ __all__ = [
     "McEstimate",
     "ESTIMATORS",
     "profile_of",
-    "draw_symbols",
     "mc_q_tilde",
     "mc_delivered_power",
     "closed_form_delivered_power",
@@ -85,7 +84,7 @@ def _substream(seed, domain, index):
     return np.random.Generator(np.random.Philox(key=_substream_key(seed, domain, index)))
 
 
-def _substreams(seed, domain, n_blocks, start=0):
+def _substreams(seed, domain, n_blocks, start):
     # The generators of blocks start .. start+n_blocks-1, in order.  One
     # Philox is re-keyed through its public state setter into the state a
     # freshly built _substream(seed, domain, b) starts in: zero counter,
@@ -186,11 +185,6 @@ def _draw(dist, n, seed, domain):
     if errors:
         raise errors[0]
     return out.reshape(-1)[:n]
-
-
-def draw_symbols(dist, n, seed):
-    """n i.i.d. symbols, deterministic in (dist, n, seed) and prefix-stable in n."""
-    return _draw(dist, _integer(n, "n", 1), _check_seed(seed), _DOM_SYMBOLS)
 
 
 def _kernel(window):

@@ -46,6 +46,7 @@ from swipt.series import s_coeff, verify
 from swipt.simulate import (
     _DOM_NOISE_EVEN,
     _DOM_NOISE_ODD,
+    _DOM_SYMBOLS,
     FiniteConstellation,
     GaussianGeneral,
     GaussianZeroMean,
@@ -56,7 +57,6 @@ from swipt.simulate import (
     _integrand,
     _kernel,
     _substream,
-    draw_symbols,
 )
 from swipt.tradeoff import Infeasible, KktReport, pdc_max, pdc_min
 
@@ -344,7 +344,7 @@ def mc_even_fourth_moment(dist, ch, n_symbols, seed):
     """Empirical fourth moment E[|Y_k|^4] of the integer-time channel output."""
     n = _integer(n_symbols, "n_symbols", 1000)
     seed = _check_seed(seed)
-    symbols = draw_symbols(dist, n, seed)
+    symbols = draw_per_block(dist, n, seed, _DOM_SYMBOLS)
     y = ch.h * symbols + _draw_noise(n, ch.sigma_w2, seed, _DOM_NOISE_EVEN)
     power = y.real**2 + y.imag**2
     block_len, n_blocks = _blocking(n)
@@ -427,7 +427,7 @@ def mc_oversampled_single_grid(dist, ch, n_symbols, oversample, seed, window=128
     n*oversample points and reduced over blocks of block_len*oversample."""
     n = n_symbols
     lo, hi = window, n - window
-    symbols = draw_symbols(dist, n, seed)
+    symbols = draw_per_block(dist, n, seed, _DOM_SYMBOLS)
     # `mid` stays named: numpy multiplies an unnamed temporary in place, and
     # that rounds some complex products differently.
     mid = half_samples_one_fft(symbols, window)

@@ -1,14 +1,17 @@
 """Public surface: each module's __all__ names real objects, the only
 zero-mean Gaussian type is moments.GaussianZeroMean (no PowerAllocation),
-which simulate exports too, test oracles live in tests/, the JSON format is
-read by the CLI alone, the bare package import stays free of numpy, and so
-do the CLI runs that build no array; a rejected input raises ValueError."""
+which simulate exports too, every public function runs outside tests and
+test oracles live in tests/, the JSON format is read by the CLI alone, the
+bare package import stays free of numpy, and so do the CLI runs that build
+no array; a rejected input raises ValueError."""
 
 import ast
 import importlib
 import inspect
 import subprocess
 import sys
+import tomllib
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +20,7 @@ from swipt.rectenna import ChannelParams
 from swipt.tradeoff import Infeasible, RPPoint
 
 MODULES = ("series", "moments", "rectenna", "simulate", "tradeoff", "cli")
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -39,6 +43,51 @@ def test_oracles_live_in_tests(name):
         assert not hasattr(module, attr), f"swipt.{name}.{attr}"
     assert not hasattr(MomentProfile, "swapped")
     assert not hasattr(RPPoint, "allocation")
+
+
+def _loaded_names(source):
+    # Names a source reads as a variable or an attribute.  Imports, defs,
+    # assignments and strings (an __all__ entry, a docstring) are not uses.
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+            names.add(node.id if isinstance(node, ast.Name) else node.attr)
+    return names
+
+
+def _outside_test_uses():
+    # Every name read by package code or by the benchmark under perfbench/,
+    # and the function the `swipt` entry point names ("swipt.cli:main").
+    sources = [inspect.getsource(importlib.import_module(f"swipt.{name}"))
+               for name in MODULES]
+    sources += [path.read_text() for path in (ROOT / "perfbench").glob("*.py")
+                if not path.name.startswith("test_")]
+    with open(ROOT / "pyproject.toml", "rb") as f:
+        scripts = tomllib.load(f)["project"]["scripts"]
+    return set().union(*map(_loaded_names, sources),
+                       (target.partition(":")[2] for target in scripts.values()))
+
+
+def _public_functions():
+    # (module, name) for each function listed in __all__ where it is
+    # defined: a re-export is checked in its own module.
+    for name in MODULES:
+        module = importlib.import_module(f"swipt.{name}")
+        for attr in module.__all__:
+            obj = getattr(module, attr)
+            if inspect.isfunction(obj) and obj.__module__ == module.__name__:
+                yield pytest.param(name, attr, id=f"{name}.{attr}")
+
+
+_OUTSIDE_TEST_USES = _outside_test_uses()
+
+
+@pytest.mark.parametrize("name, attr", _public_functions())
+def test_public_functions_run_outside_tests(name, attr):
+    """Every public function is used by package code, the `swipt` entry
+    point or perfbench/, not only by tests: what only tests call belongs in
+    tests/oracles.py."""
+    assert attr in _OUTSIDE_TEST_USES, f"swipt.{name}.{attr} is used only by tests"
 
 
 def test_tradeoff_builds_no_moment_profile():

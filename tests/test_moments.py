@@ -28,7 +28,7 @@ from swipt.moments import (
 )
 from swipt.rectenna import ChannelParams, delivered_power
 from swipt.series import s_coeff
-from swipt.simulate import closed_form_delivered_power, draw_symbols
+from swipt.simulate import _DOM_SYMBOLS, _draw, closed_form_delivered_power
 
 from oracles import (
     constellation_profile,
@@ -112,7 +112,7 @@ class TestProfileValidation:
             profile_of(FiniteConstellation((1.0, 1e4), (1.0, 4e-24))),
         ]
         for dist in (FiniteConstellation.qpsk(), bpsk):
-            profiles.append(empirical_profile(draw_symbols(dist, 10_000, 3)))
+            profiles.append(empirical_profile(_draw(dist, 10_000, 3, _DOM_SYMBOLS)))
         for p in profiles:
             assert from_json(MomentProfile, dataclasses.asdict(p), "profile") == p
 
