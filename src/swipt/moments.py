@@ -1,8 +1,13 @@
 """Channel inputs, their moment profiles and derived fourth-moment quantities.
 
-Average harvested power for an i.i.d. input depends on the distribution only
-through eight numbers: the first through fourth moments of the real and
-imaginary parts.  The input distributions live here with profile_of, their
+Average harvested power for an i.i.d. input whose real and imaginary parts
+are independent depends on the distribution only through eight numbers: the
+first through fourth moments of each part.  Every formula here assumes that
+product form.  For dependent parts it is wrong: QPSK turned by 45 degrees,
+{+-1, +-1j}, has E|X|^4 = 1, but its profile gives Q = 1.5 and a delivered
+power of 48.2255 on the default channel, where both Monte-Carlo estimators
+read 38.524 (z = -327); QPSK turned by 0.3 rad gives 41.70 against 38.65
+unturned.  The input distributions live here with profile_of, their
 exact profiles.  MomentProfile carries the eight moments, validates the
 inequalities any real distribution must satisfy, and the functions here
 derive the aggregate quantities the power formula consumes — including the
@@ -120,7 +125,11 @@ def q_tilde(profile):
 
 
 def derived_moments(profile):
-    """DerivedMoments for a valid profile."""
+    """DerivedMoments for a valid profile.
+
+    Q = Q_r + Q_i + 2*P_r*P_i is E|X|^4 only when the parts are independent,
+    so that E[X_r^2 X_i^2] = P_r*P_i; q_tilde assumes the same.
+    """
     p = profile
     total_p = p.P_r + p.P_i
     total_q = p.Q_r + p.Q_i + 2.0 * p.P_r * p.P_i
@@ -183,7 +192,12 @@ class GaussianGeneral:
 @dataclass(frozen=True)
 class FiniteConstellation:
     """Discrete symbol set with probabilities summing to one; probs None
-    means equiprobable."""
+    means equiprobable.
+
+    The closed form treats the real and imaginary parts as independent,
+    which holds for a product set such as QPSK or BPSK but not for 8-PSK or
+    a turned QPSK, whose delivered power it gets wrong.
+    """
 
     points: tuple[complex, ...]
     probs: tuple[float, ...] | None = None
@@ -214,7 +228,13 @@ class FiniteConstellation:
 
 
 def profile_of(dist):
-    """Exact moment profile of an input distribution."""
+    """Exact moment profile of an input distribution.
+
+    The profile holds each part's moments and no joint moment, so the power
+    computed from it is right only for inputs with independent parts: every
+    Gaussian here, and constellations such as QPSK, not QPSK turned by 0.3
+    rad (41.70 against 38.65 unturned on the default channel).
+    """
     if isinstance(dist, GaussianZeroMean):
         return gaussian_profile(0.0, 0.0, dist.P_r, dist.P_i)
     if isinstance(dist, GaussianGeneral):

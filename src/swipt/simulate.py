@@ -253,10 +253,11 @@ def mc_q_tilde(dist, n_blocks, window, seed):
     """Monte-Carlo estimate of the mid-sample fourth moment E[|X~|^4].
 
     Draws n_blocks*(2*window+1) symbols from the q-tilde stream, which has
-    the same block layout as draw_symbols under its own purpose tag, and cuts
-    them into consecutive blocks of 2*window+1.  Each block contributes one
-    |X~|^4 value, so block values are i.i.d. and the reported standard error
-    is exact.  A value past the float range raises ValueError.
+    the same block layout as the symbol stream under its own purpose tag,
+    and cuts them into consecutive blocks of 2*window+1.  Each block
+    contributes one |X~|^4 value, so block values are i.i.d. and the
+    reported standard error is exact.  A value past the float range raises
+    ValueError.
     """
     n_blocks = _integer(n_blocks, "n_blocks", 100)
     window = _integer(window, "window", 1)
@@ -442,7 +443,8 @@ def mc_delivered_power(dist, ch, n_symbols, oversample, seed,
       gain, so h != h_tilde is rejected there (with QPSK at h_tilde = 0.5,
       1j or -1 its mean misses half-rate's by 11-12%).
     * "half_rate" pools the two sampling phases directly: it is the
-      oversampled estimator at 2 points per symbol, whatever `oversample`.
+      oversampled estimator at 2 points per symbol.  `oversample` is still
+      checked (it must be an integer >= 2), then ignored.
 
     The second-order term is weighted once per sampling phase while the
     quartic term is pooled across phases, matching how the closed-form

@@ -40,6 +40,8 @@ __all__ = [
 
 _TARGET_TOL = 1e-9  # optimal_allocation's relative headroom above pdc_max
 _KKT_TOL = 1e-6  # kkt_check's tightness and sign tolerance
+# Below this SNR np.log2(1 + x) is off by more than about 1e-13 relative.
+_LOG1P_BELOW = 2.0 ** -10
 
 
 class Infeasible(ValueError):
@@ -84,10 +86,16 @@ def _snr_gain(ch):
 
 def _rate(P_r, P_i, ch):
     # elementwise over scalars or arrays of per-dimension powers; a rate
-    # past the float range (a*P or f_w times the logs overflowing) raises
+    # past the float range (a*P or f_w times the logs overflowing) raises.
+    # Forming 1 + x rounds away the digits of x below eps, so each SNR
+    # x = a*P under _LOG1P_BELOW takes log1p(x)/ln 2 instead of log2(1 + x).
     a = _snr_gain(ch)
     with np.errstate(over="ignore"):
-        rate = 0.5 * ch.f_w * (np.log2(1.0 + a * P_r) + np.log2(1.0 + a * P_i))
+        x = np.array([a * P_r, a * P_i])
+        logs = np.log2(1.0 + x)
+        small = x < _LOG1P_BELOW
+        logs[small] = np.log1p(x[small]) / math.log(2.0)
+        rate = 0.5 * ch.f_w * (logs[0] + logs[1])
     if not np.isfinite(rate).all():
         raise ValueError("the rate 0.5*f_w*(log2(1 + a*P_r) + log2(1 + a*P_i)) "
                          "is not finite at these powers")
@@ -160,7 +168,8 @@ def rp_region(P_a, ch, n_points):
     The n_points splits P_i = linspace(0, P_a/2) are evaluated as arrays, by
     the rate formula of rate_gaussian and the power quadratic of pdc_max and
     pdc_min (the first and last powers), and listed as RPPoint tuples (rate,
-    power, P_r, P_i).  Rate is nondecreasing and power nonincreasing along it.
+    power, P_r, P_i).  Rate is nondecreasing, up to rounding, and power
+    nonincreasing along it.
     A P_a whose single-axis delivered power overflows raises ValueError.
     """
     c = coeffs(ch)

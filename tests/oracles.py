@@ -11,6 +11,7 @@ derived route to a quantity the package computes in closed form.
   vectorised power and pairwise sum;
 * empirical_profile, swapped — sample moments of drawn symbols, and a
   profile with its real and imaginary dimensions exchanged;
+* rate_mp — the Gaussian input's rate in 50-digit arithmetic (mpmath);
 * bisection_allocation — the tradeoff split by bisection on the power
   residual, each power from the general moment-profile path;
 * kkt_check_nnls — the first-order certificate with its multipliers fitted
@@ -202,6 +203,20 @@ def empirical_profile(samples):
 def swapped(p):
     """The same input with real and imaginary dimensions exchanged."""
     return MomentProfile(p.mu_i, p.mu_r, p.P_i, p.P_r, p.T_i, p.T_r, p.Q_i, p.Q_r)
+
+
+def rate_mp(P_r, P_i, ch):
+    """tradeoff.rate_gaussian's 0.5*f_w*(log2(1 + a*P_r) + log2(1 + a*P_i)),
+    a = 2|h|^2/(f_w*sigma_w2), in 50-digit arithmetic from the exact values
+    of the float inputs, rounded to a float once at the end."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        f_w = mpmath.mpf(ch.f_w)
+        a = 2 * (mpmath.mpf(ch.h.real) ** 2 + mpmath.mpf(ch.h.imag) ** 2) / (
+            f_w * mpmath.mpf(ch.sigma_w2))
+        logs = mpmath.log1p(a * mpmath.mpf(P_r)) + mpmath.log1p(a * mpmath.mpf(P_i))
+        return float(f_w * logs / (2 * mpmath.log(2)))
 
 
 def bisection_allocation(P_a, P_d, ch, tol=1e-9):

@@ -38,7 +38,7 @@ from swipt.simulate import (
     GaussianZeroMean,
 )
 
-from oracles import SERIES_IDS
+from oracles import SERIES_IDS, rate_mp
 
 
 SYM_DIST = '{"kind": "gaussian_zero_mean", "P_r": 0.5, "P_i": 0.5}'
@@ -664,6 +664,25 @@ def test_gain_squaring_past_the_float_range_is_a_config_error():
     assert proc.stdout == ""
     [line] = proc.stderr.splitlines()
     assert line.startswith("error: channel field h overflows when squared")
+
+
+def test_region_rate_below_the_float_epsilon():
+    """At f_w = 1e20 every per-dimension SNR a*P is at most 2e-16, and each
+    split's rate is f_w*a*P_a/(2 ln 2) to within 1e-16 relative.  A fresh
+    process prints it within 1e-15 of the 50-digit rate at all three splits."""
+    proc = subprocess.run([sys.executable, "-m", "swipt.cli", "region", "--n-points", "3",
+                           "--format", "csv", "--config",
+                           json.dumps({"channel": {"f_w": 1e20}})],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stderr == ""
+    header, *rows = proc.stdout.splitlines()
+    assert header == "P_r,P_i,rate_bits,delivered_power"
+    assert len(rows) == 3
+    ch = ChannelParams(f_w=1e20)
+    for row in rows:
+        P_r, P_i, rate, _ = map(float, row.split(","))
+        exact = rate_mp(P_r, P_i, ch)
+        assert abs(rate - exact) <= 1e-15 * exact
 
 
 _ZERO_SE_DIST = '{"kind": "constellation", "points": [[0, 0]]}'

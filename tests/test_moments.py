@@ -5,6 +5,7 @@ truncated mixture for small discrete alphabets (exact, no Monte Carlo) and
 against its alternate pseudo-moment formulation on randomized valid profiles.
 """
 
+import cmath
 import dataclasses
 import itertools
 import math
@@ -365,3 +366,24 @@ class TestConstellationMoments:
         def bits(profile):
             return [v.hex() for v in dataclasses.astuple(profile)]
         assert bits(profile_of(dist)) == bits(constellation_profile(dist))
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 1: the closed form takes the real and imaginary parts as "
+    "independent, which turning a constellation breaks"))
+def test_turning_a_constellation_keeps_its_power():
+    """Turning every point by one angle turns the symbols, the mid-samples
+    and the signal part of each channel output by it, and the noise is
+    circularly symmetric, so the delivered power of an i.i.d. input stays
+    as it is.  The closed form misses this for inputs whose parts are
+    dependent: QPSK turned by pi/4 gives 48.23 against 38.65."""
+    ch = ChannelParams()
+    inputs = [FiniteConstellation.qpsk(),
+              FiniteConstellation([cmath.exp(2j * math.pi * k / 8) for k in range(8)]),
+              FiniteConstellation((1.3 + 0.2j, -0.4 + 0.9j, -0.5 - 1.0j), (0.5, 0.3, 0.2))]
+    for dist in inputs:
+        power = delivered_power(profile_of(dist), ch)
+        for theta in (math.pi / 4, 0.3):
+            turned = FiniteConstellation([x * cmath.exp(1j * theta) for x in dist.points],
+                                         dist.probs)
+            assert delivered_power(profile_of(turned), ch) == pytest.approx(power, rel=1e-12)
