@@ -30,6 +30,12 @@ class ChannelParams:
     they play different roles: information rate sees only h, harvested power
     sees both.  sigma_w2 is the complex noise variance per sample, f_w the
     bandwidth, k2/k4 the rectifier's quadratic/quartic response weights.
+
+    The response coefficients are computed once, when the channel is built,
+    and kept on the instance outside the six fields, so ==, hash, repr,
+    asdict and replace see only the fields; coeffs returns that record.
+    They belong to the instance, not to its value: channels that compare
+    equal can differ in signed zeros, and so in their coefficients.
     """
 
     h: complex = 1.0 + 0.0j
@@ -60,6 +66,7 @@ class ChannelParams:
             raise ValueError("k2 must be nonnegative")
         if not self.k4 >= 0.0:
             raise ValueError("k4 must be nonnegative")
+        object.__setattr__(self, "_coeffs", _evaluate_coeffs(self))
 
 
 @dataclass(frozen=True)
@@ -78,8 +85,17 @@ def coeffs(ch):
     """Response coefficients for a channel.
 
     alpha/alpha_tilde weight the on-sample and mid-sample fourth moments,
-    beta/beta_tilde the input power, gamma is the noise-only floor.
+    beta/beta_tilde the input power, gamma is the noise-only floor.  The
+    record is computed once, when the ChannelParams is built, and returned
+    as is.  It is kept per instance, not looked up by the channel's value:
+    channels that compare and hash equal can differ in signed zeros, and
+    k2 = k4 = -0.0 gives -0.0 coefficients where k2 = k4 = 0.0 gives 0.0.
     """
+    return ch._coeffs
+
+
+def _evaluate_coeffs(ch):
+    # the formula behind coeffs, run once per channel by its __post_init__
     h2 = abs(ch.h) ** 2
     ht2 = abs(ch.h_tilde) ** 2
     inv_fw = 1.0 / ch.f_w

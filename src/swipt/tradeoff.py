@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -187,7 +188,10 @@ def rp_region(P_a, ch, n_points):
     p_r = P_a - p_i
     rates = _rate(p_r, p_i, ch).tolist()
     powers = _gaussian_power(c, p_r, p_i).tolist()
-    return list(map(RPPoint._make, zip(rates, powers, p_r.tolist(), p_i.tolist())))
+    # tuple.__new__ builds the same RPPoints as RPPoint._make, but in C:
+    # _make runs a Python frame per point, most of a long sweep's time.
+    return list(map(tuple.__new__, repeat(RPPoint),
+                    zip(rates, powers, p_r.tolist(), p_i.tolist())))
 
 
 def kkt_check(alloc, mu_r, mu_i, P_a, P_d, ch):

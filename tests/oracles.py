@@ -12,6 +12,8 @@ derived route to a quantity the package computes in closed form.
 * empirical_profile, swapped — sample moments of drawn symbols, and a
   profile with its real and imaginary dimensions exchanged;
 * rate_mp — the Gaussian input's rate in 50-digit arithmetic (mpmath);
+* power_mp — the zero-mean Gaussian input's delivered power, coefficients
+  and quadratic, in 50-digit arithmetic (mpmath);
 * bisection_allocation — the tradeoff split by bisection on the power
   residual, each power from the general moment-profile path;
 * kkt_check_nnls — the first-order certificate with its multipliers fitted
@@ -217,6 +219,26 @@ def rate_mp(P_r, P_i, ch):
             f_w * mpmath.mpf(ch.sigma_w2))
         logs = mpmath.log1p(a * mpmath.mpf(P_r)) + mpmath.log1p(a * mpmath.mpf(P_i))
         return float(f_w * logs / (2 * mpmath.log(2)))
+
+
+def power_mp(P_r, P_i, ch):
+    """rectenna's coefficients and zero-mean Gaussian quadratic
+    (alpha + alpha~)*(3*(P_r^2 + P_i^2) + 2*P_r*P_i) + (beta + beta~)*(P_r + P_i)
+    + gamma in 50-digit arithmetic from the exact values of the float inputs,
+    rounded to a float once at the end."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        h2 = mpmath.mpf(ch.h.real) ** 2 + mpmath.mpf(ch.h.imag) ** 2
+        ht2 = mpmath.mpf(ch.h_tilde.real) ** 2 + mpmath.mpf(ch.h_tilde.imag) ** 2
+        f_w, k2, k4 = mpmath.mpf(ch.f_w), mpmath.mpf(ch.k2), mpmath.mpf(ch.k4)
+        s2 = mpmath.mpf(ch.sigma_w2)
+        asum = 3 * k4 * (h2 * h2 + ht2 * ht2) / (4 * f_w)
+        bsum = (k2 + 6 * k4 * s2) * (h2 + ht2) / f_w
+        gamma = (k2 * s2 + 3 * k4 * s2 * s2) / f_w
+        p_r, p_i = mpmath.mpf(P_r), mpmath.mpf(P_i)
+        fourth = 3 * (p_r * p_r + p_i * p_i) + 2 * p_r * p_i
+        return float(asum * fourth + bsum * (p_r + p_i) + gamma)
 
 
 def bisection_allocation(P_a, P_d, ch, tol=1e-9):

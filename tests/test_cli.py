@@ -685,6 +685,31 @@ def test_region_rate_below_the_float_epsilon():
         assert abs(rate - exact) <= 1e-15 * exact
 
 
+def test_power_eval_keeps_each_channels_signed_zeros():
+    """One fresh process runs power-eval on the default channel, then on
+    k2 = k4 = 0.0, then on k2 = k4 = -0.0, a channel equal to the one before:
+    each prints its own coefficients, so the last prints -0.0 for alpha
+    through gamma and for P_del."""
+    code = ("import sys\nfrom swipt.cli import main\n"
+            "for document in sys.argv[1:]:\n"
+            "    main(['power-eval', '--dist', '{\"kind\": \"qpsk\"}', "
+            "'--format', 'csv', '--config', document])\n")
+    documents = [{}, {"channel": {"k2": 0.0, "k4": 0.0}},
+                 {"channel": {"k2": -0.0, "k4": -0.0}}]
+    proc = subprocess.run([sys.executable, "-c", code, *map(json.dumps, documents)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stderr == ""
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 6
+    header = lines[0].split(",")
+    assert header[:5] == ["alpha", "alpha_tilde", "beta", "beta_tilde", "gamma"]
+    assert header[-1] == "P_del"
+    default, positive, negative = (lines[i].split(",") for i in (1, 3, 5))
+    assert default[0] == "14.35875"
+    assert positive[:5] + positive[-1:] == ["0.0"] * 6
+    assert negative[:5] + negative[-1:] == ["-0.0"] * 6
+
+
 _ZERO_SE_DIST = '{"kind": "constellation", "points": [[0, 0]]}'
 _SLOPE_CHANNELS = {"slope-underflowing-noise": {"sigma_w2": 1e-200, "f_w": 1e-200},
                    "slope-overflow": {"sigma_w2": 1e-320}}

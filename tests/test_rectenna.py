@@ -4,8 +4,10 @@ Anchor values were computed independently with exact rational arithmetic
 (fractions.Fraction) from the coefficient definitions and frozen here.
 """
 
+import copy
 import dataclasses
 import math
+import pickle
 import sys
 
 import pytest
@@ -14,7 +16,13 @@ from hypothesis import strategies as st
 
 from swipt.cli import from_json
 from swipt.moments import MomentProfile, gaussian_profile
-from swipt.rectenna import ChannelParams, _gaussian_power, coeffs, delivered_power
+from swipt.rectenna import (
+    ChannelParams,
+    _evaluate_coeffs,
+    _gaussian_power,
+    coeffs,
+    delivered_power,
+)
 
 
 def reference_channel():
@@ -121,6 +129,55 @@ class TestCoeffs:
         assert set(d) == {"alpha", "alpha_tilde", "beta", "beta_tilde", "gamma"}
 
 
+def _hex(c):
+    return [float.hex(getattr(c, f.name)) for f in dataclasses.fields(c)]
+
+
+class TestCoeffsPerChannel:
+    """coeffs returns the record its channel computed when it was built: the
+    formula's floats to the last bit, signed zeros included, never another
+    equal channel's record."""
+
+    POSITIVE_ZERO = ChannelParams(k2=0.0, k4=0.0)
+    NEGATIVE_ZERO = ChannelParams(k2=-0.0, k4=-0.0)
+
+    def test_signed_zero_channels_keep_their_own_zeros(self):
+        assert self.POSITIVE_ZERO == self.NEGATIVE_ZERO
+        assert hash(self.POSITIVE_ZERO) == hash(self.NEGATIVE_ZERO)
+        assert _hex(coeffs(self.POSITIVE_ZERO)) == ["0x0.0p+0"] * 5
+        assert _hex(coeffs(self.NEGATIVE_ZERO)) == ["-0x0.0p+0"] * 5
+
+    def test_one_record_per_channel(self):
+        ch = reference_channel()
+        assert coeffs(ch) is coeffs(ch)
+        assert coeffs(copy.copy(ch)) is coeffs(ch)
+
+    def test_replace_gets_fresh_coefficients(self):
+        ch = reference_channel()
+        wider = dataclasses.replace(ch, k4=2.0 * ch.k4)
+        assert _hex(coeffs(wider)) == _hex(_evaluate_coeffs(wider))
+        assert coeffs(wider).alpha == 2.0 * coeffs(ch).alpha
+        assert _hex(coeffs(dataclasses.replace(self.POSITIVE_ZERO, k2=-0.0, k4=-0.0))) == (
+            _hex(coeffs(self.NEGATIVE_ZERO)))
+
+    @pytest.mark.parametrize("ch", [reference_channel(), POSITIVE_ZERO, NEGATIVE_ZERO],
+                             ids=["reference", "positive-zero", "negative-zero"])
+    def test_copy_and_pickle_keep_them(self, ch):
+        for twin in (copy.copy(ch), copy.deepcopy(ch), pickle.loads(pickle.dumps(ch))):
+            assert twin == ch
+            assert _hex(coeffs(twin)) == _hex(coeffs(ch))
+
+    def test_fields_alone_make_the_value(self):
+        ch = reference_channel()
+        names = ("h", "h_tilde", "sigma_w2", "f_w", "k2", "k4")
+        assert tuple(f.name for f in dataclasses.fields(ch)) == names
+        assert dataclasses.asdict(ch) == {name: getattr(ch, name) for name in names}
+        assert hash(ch) == hash(tuple(getattr(ch, name) for name in names))
+        assert repr(ch) == ("ChannelParams(h=(1+0j), h_tilde=(1+0j), sigma_w2=0.0001, "
+                            "f_w=1.0, k2=0.17, k4=19.145)")
+        assert ch == ChannelParams() and ch != ChannelParams(k4=1.0)
+
+
 class TestDeliveredPower:
     def test_symmetric_gaussian_anchor(self):
         ch = reference_channel()
@@ -159,17 +216,22 @@ class TestDeliveredPower:
 
 
 GAINS = st.floats() | st.complex_numbers()
+ZERO_OR_MORE = st.sampled_from([0.0, -0.0]) | st.floats(min_value=0.0)
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(h=GAINS, h_tilde=GAINS, sigma_w2=st.floats(min_value=0.0, exclude_min=True),
-       f_w=st.floats(min_value=0.0, exclude_min=True), k2=st.floats(min_value=0.0),
-       k4=st.floats(min_value=0.0))
+       f_w=st.floats(min_value=0.0, exclude_min=True), k2=ZERO_OR_MORE, k4=ZERO_OR_MORE)
 def test_coeffs_never_raise_on_a_channel_that_constructs(**fields):
     """Every range check coeffs relies on is ChannelParams's own: no channel
-    that constructs makes coeffs raise, however large its fields."""
+    that constructs makes coeffs raise, however large its fields.  coeffs
+    gives the formula's floats bit for bit, signed zeros and overflowed
+    products included, also after a channel equal to it has been built."""
     try:
         ch = ChannelParams(**fields)
     except ValueError:
         assume(False)
-    coeffs(ch)
+    twin = ChannelParams(**{name: value + 0.0 for name, value in fields.items()})
+    assert twin == ch
+    assert _hex(coeffs(ch)) == _hex(_evaluate_coeffs(ch))
+    assert _hex(coeffs(twin)) == _hex(_evaluate_coeffs(twin))

@@ -156,22 +156,38 @@ class TestIntegralArguments:
     DIST = GaussianZeroMean(0.5, 0.5)
 
     @pytest.mark.parametrize("call", [
-        lambda d: mc_delivered_power(d, CH, 2000.5, 4, SEED),
-        lambda d: mc_delivered_power(d, CH, np.float32(2.5), 4, SEED),
-        lambda d: mc_delivered_power(d, CH, 2000, 4.5, SEED),
-        lambda d: mc_delivered_power(d, CH, 2000, 4, SEED, window=16.5),
-        lambda d: mc_delivered_power(d, CH, 2000, 4, 1.5),
-        lambda d: mc_q_tilde(d, 200.5, 16, SEED),
-        lambda d: mc_q_tilde(d, 200, 16.5, SEED),
-        lambda d: mc_q_tilde(d, 200, 16, np.float64(0.5)),
-        lambda d: mc_q_tilde(d, 200, 16, math.nan),
-        lambda d: mc_q_tilde(d, 200, 16, math.inf),
-        lambda d: mc_even_fourth_moment(d, CH, 5000.5, SEED),
-        lambda d: half_sample_value(np.ones(10, dtype=complex), 5.5, 3),
-        lambda d: half_sample_value(np.ones(10, dtype=complex), 5, 3.5),
-        lambda d: verify(2.9),
-        lambda d: verify(np.float64(2.9)),
-        lambda d: rp_region(1.0, CH, 2.9),
+        pytest.param(lambda d: mc_delivered_power(d, CH, 2000.5, 4, SEED),
+                     id="mc_delivered_power-n_symbols-2000.5"),
+        pytest.param(lambda d: mc_delivered_power(d, CH, np.float32(2.5), 4, SEED),
+                     id="mc_delivered_power-n_symbols-float32-2.5"),
+        pytest.param(lambda d: mc_delivered_power(d, CH, 2000, 4.5, SEED),
+                     id="mc_delivered_power-oversample-4.5"),
+        pytest.param(lambda d: mc_delivered_power(d, CH, 2000, 4, SEED, window=16.5),
+                     id="mc_delivered_power-window-16.5"),
+        pytest.param(lambda d: mc_delivered_power(d, CH, 2000, 4, 1.5),
+                     id="mc_delivered_power-seed-1.5"),
+        pytest.param(lambda d: mc_q_tilde(d, 200.5, 16, SEED),
+                     id="mc_q_tilde-n_blocks-200.5"),
+        pytest.param(lambda d: mc_q_tilde(d, 200, 16.5, SEED),
+                     id="mc_q_tilde-window-16.5"),
+        pytest.param(lambda d: mc_q_tilde(d, 200, 16, np.float64(0.5)),
+                     id="mc_q_tilde-seed-float64-0.5"),
+        pytest.param(lambda d: mc_q_tilde(d, 200, 16, math.nan),
+                     id="mc_q_tilde-seed-nan"),
+        pytest.param(lambda d: mc_q_tilde(d, 200, 16, math.inf),
+                     id="mc_q_tilde-seed-inf"),
+        pytest.param(lambda d: mc_even_fourth_moment(d, CH, 5000.5, SEED),
+                     id="mc_even_fourth_moment-n_symbols-5000.5"),
+        pytest.param(lambda d: half_sample_value(np.ones(10, dtype=complex), 5.5, 3),
+                     id="half_sample_value-k-5.5"),
+        pytest.param(lambda d: half_sample_value(np.ones(10, dtype=complex), 5, 3.5),
+                     id="half_sample_value-window-3.5"),
+        pytest.param(lambda d: verify(2.9),
+                     id="verify-n_terms-2.9"),
+        pytest.param(lambda d: verify(np.float64(2.9)),
+                     id="verify-n_terms-float64-2.9"),
+        pytest.param(lambda d: rp_region(1.0, CH, 2.9),
+                     id="rp_region-n_points-2.9"),
     ])
     def test_non_integral_rejected(self, call):
         with pytest.raises(ValueError, match="must be an integer"):

@@ -30,7 +30,7 @@ from swipt.tradeoff import (
     rp_region,
 )
 
-from oracles import kkt_check_nnls, rate_mp
+from oracles import kkt_check_nnls, power_mp, rate_mp
 
 
 CH = ChannelParams(h=1.0, h_tilde=1.0, sigma_w2=1e-4, f_w=1.0,
@@ -200,7 +200,10 @@ class TestRegion:
         pts = rp_region(P_a, CH, 101)
         assert isinstance(pts, list) and pts == rp_region(P_a, CH, 101)
         for pt in pts:
-            assert isinstance(pt, tuple)
+            # exactly RPPoint of Python floats: np.float64 fields would
+            # compare equal but print differently
+            assert type(pt) is RPPoint
+            assert all(type(value) is float for value in pt)
             assert pt.P_r >= pt.P_i >= 0.0
             assert abs(pt.P_r + pt.P_i - P_a) <= math.ulp(P_a)
 
@@ -259,6 +262,29 @@ def test_frontier_rate_matches_50_digit_oracle(h, h_tilde, sigma_w2, f_w, k2, k4
     for prev, cur in zip(pts, pts[1:]):
         assert prev.rate - cur.rate <= 1e-15 * prev.rate
     assert rate_gaussian(GaussianZeroMean(pts[-1].P_r, pts[-1].P_i), ch) == pts[-1].rate
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(h=log_uniform(1e-3, 1e3), h_tilde=log_uniform(1e-3, 1e3),
+       sigma_w2=log_uniform(1e-12, 1e2), f_w=log_uniform(1e-3, 1e15),
+       k2=log_uniform(1e-4, 1e2), k4=log_uniform(1e-4, 1e4),
+       P_a=log_uniform(1e-6, 1e6), split=st.floats(0.0, 1.0))
+def test_frontier_power_matches_50_digit_oracle(h, h_tilde, sigma_w2, f_w, k2, k4,
+                                                P_a, split):
+    """Over the rate property's channels and budgets, pdc_min, pdc_max and
+    the zero-mean quadratic at a drawn split are each within 2e-15 relative
+    of the 50-digit coefficients and quadratic, and the sweep's power is
+    nonincreasing.  No draw in these ranges trips the budget or rate rule."""
+    ch = ChannelParams(h=h, h_tilde=h_tilde, sigma_w2=sigma_w2, f_w=f_w, k2=k2, k4=k4)
+    s = 0.5 * P_a * split
+    for got, (P_r, P_i) in [(pdc_min(P_a, ch), (0.5 * P_a, 0.5 * P_a)),
+                            (pdc_max(P_a, ch), (P_a, 0.0)),
+                            (_gaussian_power(coeffs(ch), P_a - s, s), (P_a - s, s))]:
+        exact = power_mp(P_r, P_i, ch)
+        assert abs(got - exact) <= 2e-15 * exact
+    pts = rp_region(P_a, ch, 21)
+    for prev, cur in zip(pts, pts[1:]):
+        assert cur.power <= prev.power
 
 
 # Every public door to the budget rule, as a call of (P_a, ch).
