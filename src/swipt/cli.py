@@ -113,9 +113,10 @@ def from_json(cls, data, what):
 
 
 # Largest accepted sizes, checked before anything is allocated.  Each keeps
-# the largest run near 2 GB of peak memory at its measured cost per unit
-# (see README's table): 40 B per series term, 1.6 kB per JSON sweep point,
-# 50 B per Monte-Carlo symbol, and 90 B per unit of window on top of that.
+# the largest run at or below about 2 GB of peak memory at its measured cost
+# per unit (see README's table): 16 B per series term (0.8 GB at the bound),
+# 1.6 kB per JSON sweep point, 50 B per Monte-Carlo symbol, and 90 B per
+# unit of window on top of that.
 # Memory does not grow with oversample, but time does, linearly.  The 50 B
 # per symbol holds for sizes with a divisor near their square root, as
 # round sizes have; any other size, a prime above all, takes one
@@ -395,18 +396,25 @@ def cmd_power_eval(args, config):
 
 
 def cmd_mc_validate(args, config):
-    from .simulate import ESTIMATORS, closed_form_delivered_power, mc_delivered_power
+    """Both Monte-Carlo estimators against the closed form.
+
+    The two estimates come from one draw of the symbols and both noises:
+    the draws, the mid-samples and the channel outputs are made and held
+    once, not once per estimator, which saves the slowest part of a second
+    run.  Each estimate keeps the bytes of its own mc_delivered_power call.
+    """
+    from .simulate import ESTIMATORS, _mc_delivered_powers, closed_form_delivered_power
 
     if args.dist is not None:
         dist = distribution_from_spec(_load_json(args.dist, "distribution"))
     else:
         dist = GaussianZeroMean(0.5 * config.P_a, 0.5 * config.P_a)
     closed_form = closed_form_delivered_power(dist, config.channel)
+    estimates = _mc_delivered_powers(
+        dist, config.channel, config.mc.n_symbols, config.mc.oversample,
+        config.mc.seed, config.mc.window, ESTIMATORS)
     results = []
-    for estimator in ESTIMATORS:
-        est = mc_delivered_power(
-            dist, config.channel, config.mc.n_symbols, config.mc.oversample,
-            config.mc.seed, window=config.mc.window, estimator=estimator)
+    for estimator, est in estimates.items():
         results.append({
             "estimator": estimator,
             "estimate": est.mean,

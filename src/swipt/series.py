@@ -55,6 +55,19 @@ def s_coeff(l):
     return vals
 
 
+def _s_first(n_terms):
+    # s_l for l = 0 .. n_terms-1 in one float array and no index arrays:
+    # s_coeff's values bit for bit, as a test checks.  l + 1/2 is exact
+    # below 2^52, IEEE products commute and -(1/x) == -1/x under
+    # round-to-nearest.
+    s = np.arange(n_terms, dtype=float)
+    s += 0.5
+    s *= np.pi
+    np.divide(1.0, s, out=s)
+    s[1::2] *= -1.0
+    return s
+
+
 def _window_sums(n_terms):
     """All nine partial sums over l in [-n_terms, n_terms], keyed by series id,
     for an integer n_terms >= 1.
@@ -66,14 +79,24 @@ def _window_sums(n_terms):
     O(1/N^2) instead of O(1/N).  The multi-index sums are polynomials in
     those four (S2 by Newton's identity for 24*e4), exact on the finite
     window and not just in the limit.
+
+    Two length-N float arrays are held, 16 B per term: s is built in place
+    from a float arange, with no integer index arrays, and s^3 and s^4 are
+    formed in place over s and s^2 once their own sums are taken.  Each
+    power is the same product of the same arrays as a fresh one would be,
+    and each sum runs over a whole contiguous array, so every sum keeps its
+    bits.  Chunked sums would hold O(1) memory but reorder the additions
+    and move the printed partial sums.
     """
-    s = s_coeff(np.arange(n_terms, dtype=np.int64))
+    s = _s_first(n_terms)
     edge = s_coeff(n_terms)
-    s2 = s * s
     t0 = float(2.0 * s.sum() + edge)
-    t1 = float(2.0 * (s2 * s).sum() + edge**3)
+    s2 = s * s
     s0 = float(2.0 * s2.sum() + edge**2)
-    s5 = float(2.0 * (s2 * s2).sum() + edge**4)
+    s *= s2  # s^3, as s2 * s
+    t1 = float(2.0 * s.sum() + edge**3)
+    s2 *= s2  # s^4
+    s5 = float(2.0 * s2.sum() + edge**4)
     return {
         "T0": t0,
         "T1": t1,

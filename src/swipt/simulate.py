@@ -377,15 +377,16 @@ def _spectrum_halves(y_even, y_mid):
     return low, high
 
 
-def _phase_block_sums(y_even, y_mid, ch, oversample, lo, hi, block_len):
+def _phase_block_sums(y_even, y_mid, ch, oversample, lo, hi, block_len, on_grid):
     # Sum over phases p = 0, 1, ... of the integrand's block means on symbols
     # [lo, hi), phase p being the periodic band-limited interpolant of the
     # interleaved 2n-point sequence y_even[0], y_mid[0], y_even[1], ...,
     # sampled at m/n + p/L with L = n*oversample (fine-grid point
     # m*oversample + p).  The interpolant passes through the samples it
     # interpolates, the split Nyquist bin included: phase 0 is y_even and,
-    # for even oversample, phase oversample/2 is y_mid, so those are reduced
-    # as they are.  For the other phases, with X the sequence's DFT and the
+    # for even oversample, phase oversample/2 is y_mid, so the caller
+    # reduces those as they are and passes their means in on_grid, keyed by
+    # phase.  For the other phases, with X the sequence's DFT and the
     # Nyquist bin split evenly between k = +-n,
     #   y(m/n + p/L) = (1/2n) sum_{|k|<=n} X_k e^{2 pi i k p/L} e^{2 pi i k m/n},
     # so folding k modulo n leaves one length-n inverse FFT per phase: bin j
@@ -396,9 +397,6 @@ def _phase_block_sums(y_even, y_mid, ch, oversample, lo, hi, block_len):
     # _ifft_four_step applies, returning the phase in natural order.  The
     # spectrum is taken only when such a phase exists (not at oversample 2)
     # and overwrites both buffers.
-    on_grid = {0: _integrand_means(y_even[lo:hi], ch, block_len)}
-    if oversample % 2 == 0:
-        on_grid[oversample // 2] = _integrand_means(y_mid[lo:hi], ch, block_len)
     if len(on_grid) < oversample:
         low, high = _spectrum_halves(y_even, y_mid)
         folded = y_mid.reshape(low.shape)  # holds B, which the halves no longer need
@@ -465,8 +463,12 @@ def mc_delivered_power(dist, ch, n_symbols, oversample, seed,
     arrays, on up to two threads with the same bytes as one, each thread
     through a scratch buffer of a few blocks.  The mid-samples come from
     overlap-save frames of a few thousand points, transformed a few frames
-    at a time, and the channel outputs are formed in place.  The oversampled estimator never builds
-    its n*oversample grid.  Phase 0 is the integer-time sequence and, for
+    at a time, and the channel outputs are formed in place.  All of these
+    are made and held once per draw: `swipt mc-validate` asks for both
+    estimators in one call of the private _mc_delivered_powers, which
+    reduces both from the same channel outputs, so its second estimate
+    costs no second draw and keeps the bytes this function gives it.  The
+    oversampled estimator never builds its n*oversample grid.  Phase 0 is the integer-time sequence and, for
     even `oversample`, phase oversample/2 the mid-sample sequence, so those
     are reduced as they are; at oversample 2 that is every phase and no FFT
     runs.  Otherwise the spectrum of the interleaved sequence comes from
@@ -486,17 +488,30 @@ def mc_delivered_power(dist, ch, n_symbols, oversample, seed,
     (oversample 8) takes about 3.6 s and 176 MB more resident memory,
     against 0.65 s and 49 MB at n = 1e6.
     """
+    return _mc_delivered_powers(dist, ch, n_symbols, oversample, seed, window,
+                                (estimator,))[estimator]
+
+
+def _mc_delivered_powers(dist, ch, n_symbols, oversample, seed, window, wanted):
+    # mc_delivered_power's estimate for each estimator named in `wanted`,
+    # by name, from one draw of the symbols and both noises.  The arguments
+    # are checked in mc_delivered_power's order, each estimator's rules
+    # applying when it is wanted.  Both estimators reduce the same channel
+    # outputs: half-rate is (0 + even + mid)/(2*f_w) over the block means of
+    # the integer-time and mid-sample outputs, and the oversampled sum adds
+    # the same two arrays at phases 0 and oversample/2.  So both means are
+    # taken before the oversampled spectrum overwrites the outputs, and
+    # each estimate has the bytes of its own mc_delivered_power call.  The
+    # estimators are reduced in ESTIMATORS order.
     n = _integer(n_symbols, "n_symbols", 1000)
     oversample = _integer(oversample, "oversample")
     if oversample < 2:
         raise ValueError(
             "oversample must be >= 2: the squared envelope has twice the "
             "signal bandwidth")
-    if estimator not in ESTIMATORS:
+    if any(estimator not in ESTIMATORS for estimator in wanted):
         raise ValueError(f"estimator must be one of {ESTIMATORS}")
-    if estimator == "half_rate":
-        oversample = 2
-    if oversample > 2 and ch.h_tilde != ch.h:
+    if "oversampled" in wanted and oversample > 2 and ch.h_tilde != ch.h:
         raise ValueError(
             f"channel.h_tilde must equal channel.h for the oversampled estimator "
             f"at oversample > 2, got h = {ch.h!r}, h_tilde = {ch.h_tilde!r}; "
@@ -521,10 +536,21 @@ def mc_delivered_power(dist, ch, n_symbols, oversample, seed,
         y_even += _draw_noise(n, ch.sigma_w2, seed, _DOM_NOISE_EVEN)
         y_mid *= ch.h_tilde
         y_mid += _draw_noise(n, ch.sigma_w2, seed, _DOM_NOISE_ODD)
-        block_means = _phase_block_sums(y_even, y_mid, ch, oversample, lo, hi,
-                                        block_len)
-        block_means /= oversample * ch.f_w
-        return _estimate(block_means, n_blocks * block_len * oversample, seed)
+        even = _integrand_means(y_even[lo:hi], ch, block_len)
+        if "half_rate" in wanted or oversample % 2 == 0:
+            mid = _integrand_means(y_mid[lo:hi], ch, block_len)
+        estimates = {}
+        for estimator in ESTIMATORS:
+            if estimator not in wanted:
+                continue
+            phases = 2 if estimator == "half_rate" else oversample
+            on_grid = {0: even, phases // 2: mid} if phases % 2 == 0 else {0: even}
+            block_means = _phase_block_sums(y_even, y_mid, ch, phases, lo, hi,
+                                            block_len, on_grid)
+            block_means /= phases * ch.f_w
+            estimates[estimator] = _estimate(block_means,
+                                             n_blocks * block_len * phases, seed)
+        return estimates
 
 
 def closed_form_delivered_power(dist, ch):

@@ -5,6 +5,9 @@ derived route to a quantity the package computes in closed form.
 
 * SERIES_IDS, series_sums — the nine series ids in series.verify's order,
   and verify's partial sums keyed by id;
+* window_sums_five_arrays — series._window_sums as it was built from an
+  integer index array and five length-N arrays, with s_l as
+  sign / (pi * (m + 0.5));
 * brute_force_double_sum — direct enumeration of the distinct-index series;
 * q_tilde_intermediate — the mid-sample fourth moment via pseudo-moments;
 * constellation_profile — a finite constellation's moments by numpy's
@@ -73,6 +76,23 @@ _HIGHER_WINDOW_MAX = 200
 def series_sums(n_terms):
     """series.verify's nine partial sums over [-n_terms, n_terms], by id."""
     return {r.id: r.partial_sum for r in verify(n_terms)}
+
+
+def window_sums_five_arrays(n_terms):
+    """The four single-index sums T0, T1, S0 and S5 over [-n_terms, n_terms]
+    as series._window_sums formed them from fresh arrays: an int64 index
+    array, its parity and sign arrays, s, s^2 and the products s^2*s and
+    s^2*s^2, 40 B per term at its peak."""
+    m = np.arange(n_terms, dtype=np.int64)
+    s = np.where(m % 2 == 0, 1.0, -1.0) / (np.pi * (m + 0.5))
+    edge = (-1.0 if n_terms % 2 else 1.0) / (np.pi * (n_terms + 0.5))
+    s2 = s * s
+    return {
+        "T0": float(2.0 * s.sum() + edge),
+        "T1": float(2.0 * (s2 * s).sum() + edge**3),
+        "S0": float(2.0 * s2.sum() + edge**2),
+        "S5": float(2.0 * (s2 * s2).sum() + edge**4),
+    }
 
 
 def brute_force_double_sum(series_id, window):

@@ -1,6 +1,18 @@
 """Command-line interface: argument handling, config resolution, output
-formats, and exit codes.  Everything runs in-process through main(argv),
-except the import check, which needs a fresh interpreter."""
+formats, and exit codes.  Most tests run in-process through main(argv).
+The ones that call subprocess.run start a fresh interpreter because they
+need one:
+
+* the import check reads a new process's sys.modules;
+* the overflow, non-finite and degenerate-input checks (and _power_eval's
+  callers) read a real run's stderr: a test run turns numpy's
+  RuntimeWarning into an error (pyproject's filterwarnings), so only a
+  fresh process shows that stderr holds one error line and no warning or
+  traceback;
+* the low-SNR region rate reads the digits a `python -m swipt.cli` run
+  prints, and the signed-zeros check builds equal channels in turn in one
+  process of its own.
+"""
 
 import contextlib
 import dataclasses
@@ -36,6 +48,7 @@ from swipt.simulate import (
     FiniteConstellation,
     GaussianGeneral,
     GaussianZeroMean,
+    mc_delivered_power,
 )
 
 from oracles import SERIES_IDS, rate_mp
@@ -226,6 +239,43 @@ class TestMcValidateCommand:
         assert captured.out == ""
         assert captured.err.splitlines() == [captured.err.strip()]
         assert captured.err.startswith("error: channel.h_tilde must equal channel.h")
+
+    @pytest.mark.parametrize("dist, document", [
+        pytest.param(None, {}, id="default-gaussian"),
+        pytest.param('{"kind": "qpsk"}', {}, id="qpsk"),
+        pytest.param(None, {"mc": {"oversample": 5}}, id="oversample-5"),
+        pytest.param(None, {"channel": {"sigma_w2": 0.5}}, id="sigma_w2-0.5"),
+    ])
+    def test_estimates_are_two_separate_calls(self, dist, document, capsys):
+        """Both estimates come from one draw, and each has the bytes of its
+        own mc_delivered_power call."""
+        mc = {"n_symbols": 20_000, "window": 32, "seed": 5, **document.get("mc", {})}
+        document = {**document, "mc": mc}
+        argv = ["mc-validate", "--config", json.dumps(document)]
+        code = main(argv + (["--dist", dist] if dist else []))
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert code in (0, 1)
+        config = from_json(RunConfig, document, "config")
+        spec = distribution_from_spec(json.loads(dist)) if dist else GaussianZeroMean(0.5, 0.5)
+        for r in results:
+            est = mc_delivered_power(spec, config.channel, mc["n_symbols"],
+                                     config.mc.oversample, mc["seed"], window=mc["window"],
+                                     estimator=r["estimator"])
+            assert r["estimate"].hex() == est.mean.hex()
+            assert r["std_error"].hex() == est.std_error.hex()
+            assert r["n"] == est.n_samples
+
+    def test_two_gains_keep_the_oversampled_estimators_error_line(self, capsys):
+        """h != h_tilde at oversample 8 exits 2 with the line the oversampled
+        estimator's own call raises, before anything is drawn."""
+        ch = ChannelParams(h_tilde=0.5)
+        with pytest.raises(ValueError) as raised:
+            mc_delivered_power(GaussianZeroMean(0.5, 0.5), ch, 200_000, 8, 12345)
+        code = main(["mc-validate", "--config", '{"channel": {"h_tilde": 0.5}}'])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {raised.value}\n"
 
     @pytest.mark.parametrize("P_a, code", [(1e76, 0), (1e77, 2), (1e153, 2)], ids=repr)
     def test_estimate_past_the_float_range_is_one_error_line(self, P_a, code):

@@ -8,13 +8,14 @@ oracles.py, and against the analytic limits as the truncation window grows.
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from swipt.series import s_coeff, verify
+from swipt.series import _s_first, _window_sums, s_coeff, verify
 
-from oracles import SERIES_IDS, brute_force_double_sum, series_sums
+from oracles import SERIES_IDS, brute_force_double_sum, series_sums, window_sums_five_arrays
 
 ANALYTIC = {
     "T0": 1.0, "T1": 0.5, "S0": 1.0, "S1": 0.0, "S2": 0.0,
@@ -166,3 +167,46 @@ class TestReports:
             assert r.abs_error == abs(r.analytic - r.partial_sum)
             assert set(dataclasses.asdict(r)) == {
                 "id", "analytic", "partial_sum", "truncation", "abs_error"}
+
+
+# Sizes where a pairwise sum's blocking or the parity of the last term changes.
+TWO_ARRAY_SIZES = [*range(1, 301),
+                   *(2**k + d for k in range(2, 21) for d in (-1, 1)),
+                   99_991, 1_000_000]
+
+
+class TestTwoArraySums:
+    """_window_sums holds two length-N arrays where it held five, and keeps
+    every bit of every sum."""
+
+    def test_sums_match_the_five_array_form_bitwise(self):
+        for n in TWO_ARRAY_SIZES:
+            sums = _window_sums(n)
+            for sid, value in window_sums_five_arrays(n).items():
+                assert sums[sid].hex() == value.hex(), (n, sid)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 4097, 99_991, 1_000_000])
+    def test_coefficients_built_in_place_are_s_coeff(self, n):
+        """The sums' s array, built from a float arange with the odd entries
+        negated, has s_coeff's bits: the two are one definition of s_l."""
+        assert np.array_equal(_s_first(n).view(np.int64),
+                              s_coeff(np.arange(n)).view(np.int64))
+
+    def test_peak_per_term(self):
+        """_window_sums(1e6) peaks at no more than 17 B of traced memory per
+        term (measured 16.0; 40.0 with five arrays): s and s^2, with s^3 and
+        s^4 formed over them in place."""
+        n = 1_000_000
+        _window_sums(1000)  # first-call set-up
+        was_tracing = tracemalloc.is_tracing()
+        if not was_tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            _window_sums(n)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert peak <= 17 * n
