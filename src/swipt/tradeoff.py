@@ -206,7 +206,9 @@ def kkt_check(alloc, mu_r, mu_i, P_a, P_d, ch):
       nothing cancels them;
     * lambda2 free and (rate_i - rate_r)/(grad_r - grad_i) > 0: lambda1 and
       lambda2 from the 2x2 solve, with zero residual, where both are finite
-      (a gradient gap near zero can send them past the float range);
+      (a gradient gap near zero can send them past the float range).  Both
+      gaps are formed on the inputs, so lambda2 keeps its digits at any
+      SNR: subtracting the rounded rates lost them as eps/(a*P);
     * otherwise lambda1 alone: a free zeta on the lower-rate row absorbs the
       gap between the rows, else lambda1 is the mean of the two rates.
 
@@ -259,9 +261,15 @@ def kkt_check(alloc, mu_r, mu_i, P_a, P_d, ch):
 
     lam1 = lam2 = zeta_r = zeta_i = 0.0
     if budget_tight and power_tight and (rate_i - rate_r) * (grad_r - grad_i) > 0.0:
-        lam2 = (rate_i - rate_r) / (grad_r - grad_i)
+        # (rate_i - rate_r)/(grad_r - grad_i) with both gaps formed on the
+        # inputs, not by subtracting rounded rates, whose relative gap is
+        # about a*(var_r - var_i): rate_i - rate_r is
+        # rate_r*a*(var_r - var_i)/(1 + a*var_i) and grad_r - grad_i is
+        # 4*(alpha + alpha_tilde)*(P_r - P_i).
+        gap = 4.0 * asum * (alloc.P_r - alloc.P_i)
+        lam2 = rate_r * (a / (1.0 + a * var_i)) * (var_r - var_i) / gap if gap else 0.0
         lam1 = rate_r + lam2 * grad_r
-        if not math.isfinite(lam1):
+        if not (lam2 > 0.0 and math.isfinite(lam1)):
             # a gradient gap near zero: the solve has no finite multipliers
             lam1 = lam2 = 0.0
     if budget_tight and not lam2:

@@ -17,6 +17,8 @@ derived route to a quantity the package computes in closed form.
 * rate_mp — the Gaussian input's rate in 50-digit arithmetic (mpmath);
 * power_mp — the zero-mean Gaussian input's delivered power, coefficients
   and quadratic, in 50-digit arithmetic (mpmath);
+* lambda2_mp — kkt_check's power multiplier at a zero-mean split on the
+  frontier, in 50-digit arithmetic (mpmath);
 * bisection_allocation — the tradeoff split by bisection on the power
   residual, each power from the general moment-profile path;
 * kkt_check_nnls — the first-order certificate with its multipliers fitted
@@ -259,6 +261,26 @@ def power_mp(P_r, P_i, ch):
         p_r, p_i = mpmath.mpf(P_r), mpmath.mpf(P_i)
         fourth = 3 * (p_r * p_r + p_i * p_i) + 2 * p_r * p_i
         return float(asum * fourth + bsum * (p_r + p_i) + gamma)
+
+
+def lambda2_mp(P_r, P_i, ch):
+    """kkt_check's lambda2 = (rate_i - rate_r)/(grad_r - grad_i) at a
+    zero-mean split, c1*a^2/(4*(alpha + alpha~)*(1 + a*P_r)*(1 + a*P_i))
+    with c1 = f_w/(2 ln 2), a = 2|h|^2/(f_w*sigma_w2) and
+    alpha + alpha~ = 3*k4*(|h|^4 + |h~|^4)/(4*f_w), in 50-digit arithmetic
+    from the exact values of the float inputs, rounded to a float once at
+    the end."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        h2 = mpmath.mpf(ch.h.real) ** 2 + mpmath.mpf(ch.h.imag) ** 2
+        ht2 = mpmath.mpf(ch.h_tilde.real) ** 2 + mpmath.mpf(ch.h_tilde.imag) ** 2
+        f_w = mpmath.mpf(ch.f_w)
+        a = 2 * h2 / (f_w * mpmath.mpf(ch.sigma_w2))
+        c1 = f_w / (2 * mpmath.log(2))
+        asum = 3 * mpmath.mpf(ch.k4) * (h2 * h2 + ht2 * ht2) / (4 * f_w)
+        p_r, p_i = mpmath.mpf(P_r), mpmath.mpf(P_i)
+        return float(c1 * a * a / (4 * asum * (1 + a * p_r) * (1 + a * p_i)))
 
 
 def bisection_allocation(P_a, P_d, ch, tol=1e-9):

@@ -9,9 +9,9 @@ need one:
   RuntimeWarning into an error (pyproject's filterwarnings), so only a
   fresh process shows that stderr holds one error line and no warning or
   traceback;
-* the low-SNR region rate reads the digits a `python -m swipt.cli` run
-  prints, and the signed-zeros check builds equal channels in turn in one
-  process of its own.
+* the low-SNR region rate and lambda2 read the digits a
+  `python -m swipt.cli` run prints, and the signed-zeros check builds equal
+  channels in turn in one process of its own.
 """
 
 import contextlib
@@ -733,6 +733,19 @@ def test_region_rate_below_the_float_epsilon():
         P_r, P_i, rate, _ = map(float, row.split(","))
         exact = rate_mp(P_r, P_i, ch)
         assert abs(rate - exact) <= 1e-15 * exact
+
+
+def test_region_lambda2_keeps_its_digits_at_low_snr():
+    """At f_w = 1e14 the per-dimension SNR a*P is near 1e-10, where the
+    marginal rates' gap is below their rounding: a fresh process prints the
+    50-digit lambda2 rounded to a float, 2511874.3633680237 (subtracting
+    the two rounded rates printed 2511873.6542622154)."""
+    proc = subprocess.run([sys.executable, "-m", "swipt.cli", "region", "--n-points", "2",
+                           "--target", "6.842346657435001e-13", "--config",
+                           json.dumps({"channel": {"f_w": 1e14}})],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert '        "lambda2": 2511874.3633680237,' in proc.stdout.splitlines()
 
 
 def test_power_eval_keeps_each_channels_signed_zeros():
