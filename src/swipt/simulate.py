@@ -468,7 +468,8 @@ def mc_delivered_power(dist, ch, n_symbols, oversample, seed,
     estimators in one call of the private _mc_delivered_powers, which
     reduces both from the same channel outputs, so its second estimate
     costs no second draw and keeps the bytes this function gives it.  The
-    oversampled estimator never builds its n*oversample grid.  Phase 0 is the integer-time sequence and, for
+    oversampled estimator never builds its n*oversample grid.  Phase 0 is
+    the integer-time sequence and, for
     even `oversample`, phase oversample/2 the mid-sample sequence, so those
     are reduced as they are; at oversample 2 that is every phase and no FFT
     runs.  Otherwise the spectrum of the interleaved sequence comes from
@@ -540,9 +541,7 @@ def _mc_delivered_powers(dist, ch, n_symbols, oversample, seed, window, wanted):
         if "half_rate" in wanted or oversample % 2 == 0:
             mid = _integrand_means(y_mid[lo:hi], ch, block_len)
         estimates = {}
-        for estimator in ESTIMATORS:
-            if estimator not in wanted:
-                continue
+        for estimator in (name for name in ESTIMATORS if name in wanted):
             phases = 2 if estimator == "half_rate" else oversample
             on_grid = {0: even, phases // 2: mid} if phases % 2 == 0 else {0: even}
             block_means = _phase_block_sums(y_even, y_mid, ch, phases, lo, hi,
