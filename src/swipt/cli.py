@@ -447,7 +447,7 @@ def cmd_region(args, config):
             "P_i": alloc.P_i,
             "rate_bits": rate_gaussian(alloc, config.channel),
             "delivered_power": delivered_power(profile_of(alloc), config.channel),
-            "kkt": dataclasses.asdict(report),
+            "kkt": report._asdict(),
         }
 
     points = rp_region(config.P_a, config.channel, config.sweep.n_points)

@@ -18,7 +18,6 @@ ValueError instead of coming back infinite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import repeat
 from typing import NamedTuple
 
@@ -43,6 +42,7 @@ _TARGET_TOL = 1e-9  # optimal_allocation's relative headroom above pdc_max
 _KKT_TOL = 1e-6  # kkt_check's tightness and sign tolerance
 # Below this SNR np.log2(1 + x) is off by more than about 1e-13 relative.
 _LOG1P_BELOW = 2.0 ** -10
+_LN2 = math.log(2.0)
 
 
 class Infeasible(ValueError):
@@ -58,10 +58,10 @@ class RPPoint(NamedTuple):
     P_i: float
 
 
-@dataclass(frozen=True)
-class KktReport:
+class KktReport(NamedTuple):
     """Multipliers and stationarity residuals at a candidate point, and its primal
-    feasibility: the multipliers are complementary and dual feasible by construction."""
+    feasibility: the multipliers are complementary and dual feasible by construction.
+    A named tuple, so report._asdict() gives the fields as a dict."""
 
     lambda1: float
     lambda2: float
@@ -89,7 +89,7 @@ def _log2_1p(x):
     # log2(1 + x) for an array x >= 0, in place.  Forming 1 + x rounds away
     # the digits of x below eps, so x under _LOG1P_BELOW takes log1p(x)/ln 2.
     small = x < _LOG1P_BELOW
-    tiny = np.log1p(x[small]) / math.log(2.0)
+    tiny = np.log1p(x[small]) / _LN2
     np.log2(np.add(x, 1.0, out=x), out=x)
     x[small] = tiny
     return x
@@ -232,7 +232,7 @@ def kkt_check(alloc, mu_r, mu_i, P_a, P_d, ch):
     c = coeffs(ch)
     P_a, _ = _budget(c, P_a, P_d)
     a = _snr_gain(ch)
-    c1 = 0.5 * ch.f_w / math.log(2.0)  # rate in bits
+    c1 = 0.5 * ch.f_w / _LN2  # rate in bits
     m2_r, m2_i = mu_r * mu_r, mu_i * mu_i  # by *: float ** raises on overflow
     var_r, var_i = alloc.P_r - m2_r, alloc.P_i - m2_i
     if var_r < -_KKT_TOL or var_i < -_KKT_TOL:
@@ -254,10 +254,11 @@ def kkt_check(alloc, mu_r, mu_i, P_a, P_d, ch):
 
     budget_slack = P_a - (alloc.P_r + alloc.P_i)
     power_slack = p_del - P_d
-    budget_tight = abs(budget_slack) <= _KKT_TOL * max(1.0, abs(P_a))
-    power_tight = abs(power_slack) <= _KKT_TOL * max(1.0, abs(P_d))
-    var_r_tight = var_r <= _KKT_TOL * max(1.0, abs(P_a))
-    var_i_tight = var_i <= _KKT_TOL * max(1.0, abs(P_a))
+    # P_a is the budget rule's positive float; P_d may be any finite number
+    budget_tol = _KKT_TOL * max(1.0, P_a)
+    power_tol = _KKT_TOL * max(1.0, abs(P_d))
+    budget_tight = abs(budget_slack) <= budget_tol
+    power_tight = abs(power_slack) <= power_tol
 
     lam1 = lam2 = zeta_r = zeta_i = 0.0
     if budget_tight and power_tight and (rate_i - rate_r) * (grad_r - grad_i) > 0.0:
@@ -273,19 +274,26 @@ def kkt_check(alloc, mu_r, mu_i, P_a, P_d, ch):
             # a gradient gap near zero: the solve has no finite multipliers
             lam1 = lam2 = 0.0
     if budget_tight and not lam2:
-        if rate_r < rate_i and var_r_tight:
+        if rate_r < rate_i and var_r <= budget_tol:
             lam1, zeta_r = rate_i, rate_i - rate_r
-        elif rate_i < rate_r and var_i_tight:
+        elif rate_i < rate_r and var_i <= budget_tol:
             lam1, zeta_i = rate_r, rate_r - rate_i
         else:
             lam1 = 0.5 * (rate_r + rate_i)
 
     res_pr = rate_r + lam2 * grad_r - lam1 + zeta_r
     res_pi = rate_i + lam2 * grad_i - lam1 + zeta_i
-    res_mu_r = 2.0 * rate_r * mu_r + 8.0 * lam2 * asum * mu_r**3 + 2.0 * zeta_r * mu_r
-    res_mu_i = 2.0 * rate_i * mu_i + 8.0 * lam2 * asum * mu_i**3 + 2.0 * zeta_i * mu_i
+    # lambda2 times the mean term's weight 8*(alpha + alpha_tilde); where a
+    # subnormal gradient gap sends lambda2 near the float range, 8*lambda2
+    # overflows though the product does not, and 8*asum is exact
+    mu_weight = 8.0 * lam2 * asum
+    if not math.isfinite(mu_weight):
+        mu_weight = lam2 * (8.0 * asum)
+    res_mu_r = 2.0 * rate_r * mu_r + mu_weight * mu_r**3 + 2.0 * zeta_r * mu_r
+    res_mu_i = 2.0 * rate_i * mu_i + mu_weight * mu_i**3 + 2.0 * zeta_i * mu_i
 
-    feasible = bool(budget_slack >= -_KKT_TOL * max(1.0, abs(P_a))
-                    and power_slack >= -_KKT_TOL * max(1.0, abs(P_d)))
-    return KktReport(lam1, lam2, zeta_r, zeta_i,
-                     res_pr, res_pi, res_mu_r, res_mu_i, feasible)
+    # bool: with a numpy P_d the comparison gives a numpy bool
+    feasible = bool(budget_slack >= -budget_tol and power_slack >= -power_tol)
+    # tuple.__new__ builds the report in C, as rp_region builds its points
+    return tuple.__new__(KktReport, (lam1, lam2, zeta_r, zeta_i,
+                                     res_pr, res_pi, res_mu_r, res_mu_i, feasible))

@@ -4,7 +4,7 @@ Rate anchors are plain logarithms checked against math.log2; allocation
 anchors were frozen from a 1e-6-step grid search run separately.
 """
 
-import dataclasses
+import json
 import math
 import tracemalloc
 import warnings
@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
+from swipt.cli import main
 from swipt.moments import derived_moments, gaussian_profile
 from swipt.rectenna import ChannelParams, _gaussian_power, coeffs, delivered_power
 from swipt.simulate import GaussianZeroMean
@@ -353,7 +354,7 @@ def test_budget_overflowing_the_delivered_power_is_a_value_error(h, P_a, ok):
 def _numbers(result):
     # every number a budget call returns, in order
     if isinstance(result, KktReport):
-        return list(dataclasses.astuple(result)[:-1])  # the last field is a flag
+        return list(result[:-1])  # the last field is a flag
     if isinstance(result, list):
         return [x for pt in result for x in pt]
     if isinstance(result, GaussianZeroMean):
@@ -467,15 +468,26 @@ class TestKktCheck:
         with pytest.raises(ValueError, match="negative variance"):
             kkt_check(GaussianZeroMean(0.5, 0.5), 1.0, 0.0, 1.0, 10.0, CH)
 
-    def test_report_dict_keys(self):
-        report = kkt_check(GaussianZeroMean(0.5, 0.5), 0.0, 0.0, 1.0, 10.0, CH)
-        assert isinstance(report, KktReport)
-        assert set(dataclasses.asdict(report)) == {
+    @pytest.mark.parametrize("P_a, P_d", [(1.0, 10.0), (1.0, 70.0), (1.0, 86.51549157435)],
+                             ids=["slack", "interior", "corner"])
+    def test_report_dict_keys(self, P_a, P_d, capsys):
+        """The report is exactly a KktReport named tuple of Python floats and
+        a bool, and its _asdict() is the CLI's "kkt" object, keys in order."""
+        alloc = optimal_allocation(P_a, P_d, CH)
+        report = kkt_check(alloc, 0.0, 0.0, P_a, P_d, CH)
+        assert type(report) is KktReport and isinstance(report, tuple)
+        assert tuple(report._asdict()) == KktReport._fields == (
             "lambda1", "lambda2", "zeta_r", "zeta_i",
             "stationarity_residual_Pr", "stationarity_residual_Pi",
             "stationarity_residual_mu_r", "stationarity_residual_mu_i",
             "complementary_slackness_ok",
-        }
+        )
+        assert all(type(x) is float for x in report[:-1])
+        assert report.complementary_slackness_ok is True
+        assert main(["region", "--n-points", "2", "--target", repr(P_d)]) == 0
+        (entry,) = json.loads(capsys.readouterr().out)["targets"]
+        assert list(entry["kkt"]) == list(report._asdict())
+        assert entry["kkt"] == report._asdict()
 
 
 @pytest.mark.parametrize("channel", [{"sigma_w2": 1e-200, "f_w": 1e-200},
@@ -556,7 +568,7 @@ def test_kkt_check_reports_finite_numbers_or_raises(P_r, P_i, share_r, share_i,
                                P_a, P_d, ChannelParams(k4=k4))
         except ValueError:
             return
-    assert all(math.isfinite(x) for x in dataclasses.astuple(report)[:-1])
+    assert all(math.isfinite(x) for x in report[:-1])
 
 
 def test_kkt_check_with_a_subnormal_gradient_gap():
@@ -566,7 +578,7 @@ def test_kkt_check_with_a_subnormal_gradient_gap():
     the residual."""
     ch = ChannelParams(k2=0.0, k4=1e-320, sigma_w2=1e-300)
     report = kkt_check(GaussianZeroMean(0.6, 0.4), 0.0, 0.0, 1.0, 0.0, ch)
-    assert all(math.isfinite(x) for x in dataclasses.astuple(report)[:-1])
+    assert all(math.isfinite(x) for x in report[:-1])
     assert report.lambda2 == 0.0
     assert report.stationarity_residual_Pr == -report.stationarity_residual_Pi != 0.0
 
@@ -575,12 +587,14 @@ def test_kkt_check_with_a_subnormal_gradient_gap():
 @given(P_r=_POWERS, P_i=_POWERS, k2=st.sampled_from([0.0, 0.17, 1e10]),
        k4=st.sampled_from([19.145, 1e-300, 1e-320, 0.0]),
        sigma_w2=st.sampled_from([1e-4, 1e-300]))
+@example(P_r=0.0, P_i=1337557816320158.0, k2=0.0, k4=1e-320, sigma_w2=1e-4)
 def test_kkt_check_on_tight_points_reports_finite_numbers_or_raises(P_r, P_i, k2, k4,
                                                                     sigma_w2):
     """With budget and power both tight, where the 2x2 solve is tried, on
     channels whose gradient gap can be subnormal or whose rates differ
     by far more than it: a report of finite numbers or ValueError, never an
-    infinite multiplier or a NaN residual."""
+    infinite multiplier or a NaN residual.  The example's lambda2 is near the
+    float range, where 8*lambda2 overflowed and gave NaN mean rows at mu = 0."""
     ch = ChannelParams(k2=k2, k4=k4, sigma_w2=sigma_w2)
     alloc = GaussianZeroMean(P_r, P_i)
     P_a = P_r + P_i if P_r + P_i > 0.0 else 1.0
@@ -590,7 +604,7 @@ def test_kkt_check_on_tight_points_reports_finite_numbers_or_raises(P_r, P_i, k2
             report = kkt_check(alloc, 0.0, 0.0, P_a, _gaussian_power(coeffs(ch), P_r, P_i), ch)
         except ValueError:
             return
-    assert all(math.isfinite(x) for x in dataclasses.astuple(report)[:-1])
+    assert all(math.isfinite(x) for x in report[:-1])
 
 
 def test_gaussian_power_closed_form_symbolic():
