@@ -44,16 +44,7 @@ from .moments import (
 )
 from .rectenna import ChannelParams, _budget, _power, coeffs, delivered_power
 
-__all__ = [
-    "McConfig",
-    "SweepConfig",
-    "OutputConfig",
-    "RunConfig",
-    "from_json",
-    "distribution_from_spec",
-    "build_parser",
-    "main",
-]
+__all__ = ["main"]
 
 
 def _reject_unknown(data, known, what):

@@ -4,7 +4,7 @@ Synthesizes the band-limited baseband signal from i.i.d. symbols, applies
 the two-phase channel gains and per-sample noise, and estimates harvested
 power and mid-sample fourth moments empirically (the integer-time one is
 a test oracle).  The input distributions and profile_of are defined in
-swipt.moments and exported here too.
+swipt.moments and imported from there.
 
 Reproducibility contract: every 1000-draw block gets its own counter-based
 substream (Philox keyed by seed XOR a hash of the purpose tag and block
@@ -38,12 +38,8 @@ from .rectenna import delivered_power
 from .series import s_coeff
 
 __all__ = [
-    "GaussianZeroMean",
-    "GaussianGeneral",
-    "FiniteConstellation",
     "McEstimate",
     "ESTIMATORS",
-    "profile_of",
     "mc_q_tilde",
     "mc_delivered_power",
     "closed_form_delivered_power",

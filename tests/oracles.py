@@ -43,6 +43,9 @@ import math
 import numpy as np
 
 from swipt.moments import (
+    FiniteConstellation,
+    GaussianGeneral,
+    GaussianZeroMean,
     MomentProfile,
     _check_seed,
     _integer,
@@ -55,9 +58,6 @@ from swipt.simulate import (
     _DOM_NOISE_EVEN,
     _DOM_NOISE_ODD,
     _DOM_SYMBOLS,
-    FiniteConstellation,
-    GaussianGeneral,
-    GaussianZeroMean,
     McEstimate,
     _blocking,
     _draw_noise,

@@ -27,18 +27,20 @@ from oracles import (
     series_sums,
 )
 
-from swipt.moments import q_tilde
+from swipt.moments import (
+    FiniteConstellation,
+    GaussianGeneral,
+    GaussianZeroMean,
+    profile_of,
+    q_tilde,
+)
 from swipt.rectenna import ChannelParams, coeffs
 from swipt.series import verify
 from swipt.simulate import (
     ESTIMATORS,
-    FiniteConstellation,
-    GaussianGeneral,
-    GaussianZeroMean,
     closed_form_delivered_power,
     mc_delivered_power,
     mc_q_tilde,
-    profile_of,
 )
 from swipt.tradeoff import (
     Infeasible,

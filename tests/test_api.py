@@ -1,6 +1,6 @@
-"""Public surface: each module's __all__ names real objects, the only
-zero-mean Gaussian type is moments.GaussianZeroMean (no PowerAllocation),
-which simulate exports too, every public function runs outside tests and
+"""Public surface: each module's __all__ names real objects defined in that
+module, the only zero-mean Gaussian type is moments.GaussianZeroMean (no
+PowerAllocation), public only there, every public function runs outside tests and
 test oracles live in tests/, the JSON format is read by the CLI alone, the
 bare package import stays free of numpy, and so do the CLI runs that build
 no array; a rejected input raises ValueError."""
@@ -30,6 +30,28 @@ def test_all_names_resolve(name):
     for attr in module.__all__:
         assert hasattr(module, attr), f"swipt.{name}.{attr}"
     assert "PowerAllocation" not in module.__all__
+
+
+def _defined_names(source):
+    # Names a module binds at top level by def, class or assignment; an
+    # import does not define the name it binds.
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_names_are_defined_in_their_module(name):
+    """One door per public name: every name in a module's __all__, classes
+    and constants included, is defined in that module, not re-exported."""
+    module = importlib.import_module(f"swipt.{name}")
+    defined = _defined_names(inspect.getsource(module))
+    assert [attr for attr in module.__all__ if attr not in defined] == []
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -69,13 +91,11 @@ def _outside_test_uses():
 
 
 def _public_functions():
-    # (module, name) for each function listed in __all__ where it is
-    # defined: a re-export is checked in its own module.
+    # (module, name) for each function listed in __all__
     for name in MODULES:
         module = importlib.import_module(f"swipt.{name}")
         for attr in module.__all__:
-            obj = getattr(module, attr)
-            if inspect.isfunction(obj) and obj.__module__ == module.__name__:
+            if inspect.isfunction(getattr(module, attr)):
                 yield pytest.param(name, attr, id=f"{name}.{attr}")
 
 
@@ -125,13 +145,14 @@ def test_package_import_is_numpy_free():
 
 
 def test_one_zero_mean_gaussian_type():
-    """The input types live in moments; simulate and tradeoff use them."""
+    """The input types live in moments and are public only there; simulate
+    and tradeoff use them, and simulate still binds them for its own code."""
     from swipt import moments, simulate, tradeoff
 
     for name in ("GaussianZeroMean", "GaussianGeneral", "FiniteConstellation",
                  "profile_of"):
         assert getattr(simulate, name) is getattr(moments, name)
-        assert name in simulate.__all__
+        assert name in moments.__all__ and name not in simulate.__all__
     alloc = tradeoff.optimal_allocation(1.0, 1.0, ChannelParams())
     assert type(alloc) is moments.GaussianZeroMean
 

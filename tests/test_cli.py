@@ -41,15 +41,15 @@ from swipt.cli import (
     from_json,
     main,
 )
-from swipt.moments import MomentProfile, gaussian_profile
-from swipt.rectenna import ChannelParams, delivered_power
-from swipt.simulate import (
-    ESTIMATORS,
+from swipt.moments import (
     FiniteConstellation,
     GaussianGeneral,
     GaussianZeroMean,
-    mc_delivered_power,
+    MomentProfile,
+    gaussian_profile,
 )
+from swipt.rectenna import ChannelParams, delivered_power
+from swipt.simulate import ESTIMATORS, mc_delivered_power
 
 from oracles import SERIES_IDS, rate_mp
 

@@ -21,18 +21,21 @@ import numpy as np
 import pytest
 
 from swipt import simulate
-from swipt.moments import gaussian_profile, q_tilde
+from swipt.moments import (
+    FiniteConstellation,
+    GaussianGeneral,
+    GaussianZeroMean,
+    gaussian_profile,
+    profile_of,
+    q_tilde,
+)
 from swipt.rectenna import ChannelParams
 from swipt.series import verify
 from swipt.simulate import (
     ESTIMATORS,
-    FiniteConstellation,
-    GaussianGeneral,
-    GaussianZeroMean,
     closed_form_delivered_power,
     mc_delivered_power,
     mc_q_tilde,
-    profile_of,
 )
 from swipt.simulate import (
     _DOM_NOISE_EVEN,
@@ -767,8 +770,9 @@ class TestMemory:
         start at the test runner's resident set, which it keeps through
         fork and exec."""
         code = textwrap.dedent("""
+            from swipt.moments import GaussianZeroMean
             from swipt.rectenna import ChannelParams
-            from swipt.simulate import GaussianZeroMean, mc_delivered_power
+            from swipt.simulate import mc_delivered_power
 
             def peak_kib():
                 with open("/proc/self/status") as status:

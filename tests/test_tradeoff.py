@@ -16,9 +16,8 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from swipt.cli import main
-from swipt.moments import derived_moments, gaussian_profile
+from swipt.moments import GaussianZeroMean, derived_moments, gaussian_profile
 from swipt.rectenna import ChannelParams, _gaussian_power, coeffs, delivered_power
-from swipt.simulate import GaussianZeroMean
 from swipt.tradeoff import (
     Infeasible,
     KktReport,
@@ -315,6 +314,28 @@ def test_kkt_lambda2_matches_50_digit_oracle(h, h_tilde, sigma_w2, f_w, k2, k4, 
         return
     exact = lambda2_mp(alloc.P_r, alloc.P_i, ch)
     assert abs(report.lambda2 - exact) <= 6 * 2.0**-52 * exact
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(h=log_uniform(1e-3, 1e3), h_tilde=log_uniform(1e-3, 1e3),
+       sigma_w2=log_uniform(1e-12, 1e2), f_w=log_uniform(1e-3, 1e15),
+       k2=log_uniform(1e-4, 1e2), k4=log_uniform(1e-4, 1e4),
+       P_a=log_uniform(1e-6, 1e6), share=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_allocation_root_matches_50_digit_oracle(h, h_tilde, sigma_w2, f_w, k2, k4, P_a,
+                                                 share):
+    """Over the rate property's channels and budgets, at a target a drawn
+    share of the way from pdc_min to pdc_max, the 50-digit power of the
+    returned split is within 8*eps*pdc_max of the target (measured at most
+    3.44 over 25 754 random draws), and 0 <= P_i <= P_a/2.  A backward
+    error: where pdc_max - pdc_min is at rounding level the root is
+    ill-conditioned, and P_i can miss the 50-digit root of the same float
+    quadratic by percents while its power still meets the target."""
+    ch = ChannelParams(h=h, h_tilde=h_tilde, sigma_w2=sigma_w2, f_w=f_w, k2=k2, k4=k4)
+    low, high = pdc_min(P_a, ch), pdc_max(P_a, ch)
+    target = low + share * (high - low)
+    alloc = optimal_allocation(P_a, target, ch)
+    assert 0.0 <= alloc.P_i <= 0.5 * P_a
+    assert abs(power_mp(alloc.P_r, alloc.P_i, ch) - target) <= 8 * 2.0**-52 * high
 
 
 # Every public door to the budget rule, as a call of (P_a, ch).
