@@ -10,9 +10,11 @@ quadratic, kkt_check less its closed-form mean term.  The solver returns
 the rate-optimal split meeting a target as its root, the sweep lists the
 frontier as RPPoint named tuples (rate, power, P_r, P_i), and kkt_check
 solves the stationarity rows for the first-order multipliers at a
-candidate point to certify (or falsify) it.  Every rate takes its SNR slope
-through one rule: it must be finite; and a rate past the float range raises
-ValueError instead of coming back infinite.
+candidate point to certify (or falsify) it, as a KktReport named tuple.
+Both records are built in C by tuple.__new__, and _asdict() gives either
+as a dict.  Every rate takes its SNR slope through one rule: it must be
+finite; and a rate past the float range raises ValueError instead of
+coming back infinite.
 """
 
 from __future__ import annotations
