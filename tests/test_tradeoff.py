@@ -489,26 +489,26 @@ class TestKktCheck:
         with pytest.raises(ValueError, match="negative variance"):
             kkt_check(GaussianZeroMean(0.5, 0.5), 1.0, 0.0, 1.0, 10.0, CH)
 
-    @pytest.mark.parametrize("P_a, P_d", [(1.0, 10.0), (1.0, 70.0), (1.0, 86.51549157435)],
-                             ids=["slack", "interior", "corner"])
-    def test_report_dict_keys(self, P_a, P_d, capsys):
+    def test_report_dict_keys(self, capsys):
         """The report is exactly a KktReport named tuple of Python floats and
-        a bool, and its _asdict() is the CLI's "kkt" object, keys in order."""
-        alloc = optimal_allocation(P_a, P_d, CH)
-        report = kkt_check(alloc, 0.0, 0.0, P_a, P_d, CH)
-        assert type(report) is KktReport and isinstance(report, tuple)
-        assert tuple(report._asdict()) == KktReport._fields == (
+        a bool, and its _asdict() is the CLI's "kkt" object, keys in order:
+        at a slack target, an interior one and the corner."""
+        assert KktReport._fields == (
             "lambda1", "lambda2", "zeta_r", "zeta_i",
             "stationarity_residual_Pr", "stationarity_residual_Pi",
             "stationarity_residual_mu_r", "stationarity_residual_mu_i",
             "complementary_slackness_ok",
         )
-        assert all(type(x) is float for x in report[:-1])
-        assert report.complementary_slackness_ok is True
-        assert main(["region", "--n-points", "2", "--target", repr(P_d)]) == 0
-        (entry,) = json.loads(capsys.readouterr().out)["targets"]
-        assert list(entry["kkt"]) == list(report._asdict())
-        assert entry["kkt"] == report._asdict()
+        for P_d in (10.0, 70.0, pdc_max(1.0, CH)):
+            report = kkt_check(optimal_allocation(1.0, P_d, CH), 0.0, 0.0, 1.0, P_d, CH)
+            assert type(report) is KktReport and isinstance(report, tuple)
+            assert tuple(report._asdict()) == KktReport._fields
+            assert all(type(x) is float for x in report[:-1])
+            assert report.complementary_slackness_ok is True
+            assert main(["region", "--n-points", "2", "--target", repr(P_d)]) == 0
+            (entry,) = json.loads(capsys.readouterr().out)["targets"]
+            assert list(entry["kkt"]) == list(report._asdict())
+            assert entry["kkt"] == report._asdict()
 
 
 @pytest.mark.parametrize("channel", [{"sigma_w2": 1e-200, "f_w": 1e-200},
