@@ -19,6 +19,11 @@ derived route to a quantity the package computes in closed form.
   and quadratic, in 50-digit arithmetic (mpmath);
 * lambda2_mp — kkt_check's power multiplier at a zero-mean split on the
   frontier, in 50-digit arithmetic (mpmath);
+* rp_region_fresh — tradeoff.rp_region with every split float built anew
+  per sweep, its points made by RPPoint._make;
+* profile_exact, q_tilde_exact, derived_moments_exact — profile_of,
+  q_tilde and derived_moments in exact rational arithmetic (fractions)
+  from the float inputs as stored;
 * bisection_allocation — the tradeoff split by bisection on the power
   residual, each power from the general moment-profile path;
 * kkt_check_nnls — the first-order certificate with its multipliers fitted
@@ -39,10 +44,13 @@ derived route to a quantity the package computes in closed form.
 """
 
 import math
+from collections import namedtuple
+from fractions import Fraction
 
 import numpy as np
 
 from swipt.moments import (
+    DerivedMoments,
     FiniteConstellation,
     GaussianGeneral,
     GaussianZeroMean,
@@ -52,7 +60,7 @@ from swipt.moments import (
     derived_moments,
     gaussian_profile,
 )
-from swipt.rectenna import coeffs, delivered_power
+from swipt.rectenna import _budget, _gaussian_power, coeffs, delivered_power
 from swipt.series import s_coeff, verify
 from swipt.simulate import (
     _DOM_NOISE_EVEN,
@@ -66,7 +74,7 @@ from swipt.simulate import (
     _kernel,
     _substream,
 )
-from swipt.tradeoff import Infeasible, KktReport, pdc_max, pdc_min
+from swipt.tradeoff import Infeasible, KktReport, RPPoint, _rate, pdc_max, pdc_min
 
 SERIES_IDS = ("T0", "T1", "S0", "S1", "S2", "S3", "S4", "S5", "S6")
 _PAIR_IDS = ("S1", "S3", "S6")
@@ -208,6 +216,64 @@ def constellation_profile(dist):
         moment(re, 3), moment(im, 3), moment(re, 4), moment(im, 4))
 
 
+ExactProfile = namedtuple("ExactProfile", "mu_r mu_i P_r P_i T_r T_i Q_r Q_i")
+
+
+def profile_exact(dist, absolute=False):
+    """profile_of in exact rational arithmetic, as an ExactProfile of
+    Fractions: a constellation's moments from its float points and
+    probabilities as stored, a Gaussian's from its float parameters.  With
+    absolute=True every part value (a point's, or a Gaussian's mean) counts
+    by its magnitude, so each moment is the sum of its terms' magnitudes."""
+    part_value = abs if absolute else (lambda x: x)
+    if isinstance(dist, FiniteConstellation):
+        probs = [Fraction(p) for p in dist.probs]
+
+        def moments(part):
+            xs = [part_value(Fraction(x)) for x in part]
+            return [sum(p * x**k for p, x in zip(probs, xs)) for k in (1, 2, 3, 4)]
+
+        (mu_r, p_r, t_r, q_r), (mu_i, p_i, t_i, q_i) = (
+            moments(x.real for x in dist.points), moments(x.imag for x in dist.points))
+        return ExactProfile(mu_r, mu_i, p_r, p_i, t_r, t_i, q_r, q_i)
+    if isinstance(dist, GaussianZeroMean):
+        params = (0.0, 0.0, dist.P_r, dist.P_i)
+    elif isinstance(dist, GaussianGeneral):
+        params = (dist.mu_r, dist.mu_i, dist.var_r, dist.var_i)
+    else:
+        raise TypeError(f"unsupported input distribution: {dist!r}")
+    mu_r, mu_i, var_r, var_i = (part_value(Fraction(x)) for x in params)
+
+    def one_dim(mu, var):
+        return mu * mu + var, mu**3 + 3 * mu * var, mu**4 + 6 * mu * mu * var + 3 * var * var
+
+    (p_r, t_r, q_r), (p_i, t_i, q_i) = one_dim(mu_r, var_r), one_dim(mu_i, var_i)
+    return ExactProfile(mu_r, mu_i, p_r, p_i, t_r, t_i, q_r, q_i)
+
+
+def _q_tilde_terms(p):
+    # three times q_tilde, term by term
+    return (p.Q_r, p.Q_i, 2 * p.mu_r * p.T_r, 2 * p.mu_i * p.T_i, 6 * p.P_r * p.P_i,
+            6 * p.P_r * p.P_r, -6 * p.P_r * p.mu_r * p.mu_r,
+            6 * p.P_i * p.P_i, -6 * p.P_i * p.mu_i * p.mu_i)
+
+
+def q_tilde_exact(profile, absolute=False):
+    """moments.q_tilde of an ExactProfile, exactly; with absolute=True the
+    sum of its terms' magnitudes instead."""
+    terms = _q_tilde_terms(profile)
+    return sum(map(abs, terms) if absolute else terms) / 3
+
+
+def derived_moments_exact(profile, absolute=False):
+    """moments.derived_moments of an ExactProfile as DerivedMoments of
+    Fractions; with absolute=True each form is the sum of its terms'
+    magnitudes, the scale of its rounding error."""
+    p = profile
+    total_q = p.Q_r + p.Q_i + 2 * p.P_r * p.P_i
+    return DerivedMoments(p.P_r + p.P_i, total_q, q_tilde_exact(p, absolute))
+
+
 def empirical_profile(samples):
     """Plain sample moments of the real and imaginary parts.
 
@@ -281,6 +347,20 @@ def lambda2_mp(P_r, P_i, ch):
         asum = 3 * mpmath.mpf(ch.k4) * (h2 * h2 + ht2 * ht2) / (4 * f_w)
         p_r, p_i = mpmath.mpf(P_r), mpmath.mpf(P_i)
         return float(c1 * a * a / (4 * asum * (1 + a * p_r) * (1 + a * p_i)))
+
+
+def rp_region_fresh(P_a, ch, n_points):
+    """rp_region's sweep from the same arrays, with each split column listed
+    anew, so no float is shared with another sweep, and every point made by
+    RPPoint._make."""
+    c = coeffs(ch)
+    P_a, _ = _budget(c, P_a)
+    n_points = _integer(n_points, "n_points", 2)
+    p_i = np.linspace(0.0, 0.5 * P_a, n_points)
+    p_r = P_a - p_i
+    rates = _rate(p_r, p_i, ch).tolist()
+    powers = _gaussian_power(c, p_r, p_i).tolist()
+    return list(map(RPPoint._make, zip(rates, powers, p_r.tolist(), p_i.tolist())))
 
 
 def bisection_allocation(P_a, P_d, ch, tol=1e-9):

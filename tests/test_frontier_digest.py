@@ -5,7 +5,9 @@ a SHA-256 over float.hex of every number optimal_allocation (P_r, P_i),
 kkt_check (its nine fields, the flag as True/False) and rp_region(P_a, ch,
 101) return on it, and over the text of each error raised, at budgets 1.0,
 0.37 and 2.5 and at perfbench's frontier target mix (15 interior, the
-corner, below pdc_min and above pdc_max).  The fixture was recorded once and
+corner, below pdc_min and above pdc_max).  Each sweep runs twice and the
+second is hashed, so the gate covers a sweep that lists the split grid
+kept by the one before it as well as one that builds it.  The fixture was recorded once and
 is never regenerated to make this test pass: any drift in a returned digit
 is a regression.  A deliberate change of returned digits regenerates it
 (`python tests/test_frontier_digest.py > tests/golden/frontier_digests.txt`)
@@ -72,7 +74,11 @@ def _channel_tokens(ch, rng):
             yield from map(float.hex, (alloc.P_r, alloc.P_i))
             yield from (str(x) if isinstance(x, bool) else float.hex(x)
                         for x in (getattr(report, name) for name in _REPORT_FIELDS))
-        for pt in rp_region(P_a, ch, 101):
+        # the first sweep at this budget builds the split grid, the second
+        # lists the grid it kept: the second is hashed
+        first, second = rp_region(P_a, ch, 101), rp_region(P_a, ch, 101)
+        assert second == first
+        for pt in second:
             yield from (float.hex(x) for x in (pt.rate, pt.power, pt.P_r, pt.P_i))
 
 

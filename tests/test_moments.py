@@ -10,6 +10,7 @@ import dataclasses
 import itertools
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from swipt.cli import from_json
 from swipt.moments import (
     FiniteConstellation,
     GaussianGeneral,
+    GaussianZeroMean,
     MomentProfile,
     _integer,
     derived_moments,
@@ -33,7 +35,9 @@ from swipt.simulate import _DOM_SYMBOLS, _draw, closed_form_delivered_power
 
 from oracles import (
     constellation_profile,
+    derived_moments_exact,
     empirical_profile,
+    profile_exact,
     q_tilde_intermediate,
     series_sums,
     swapped,
@@ -366,6 +370,53 @@ class TestConstellationMoments:
         def bits(profile):
             return [v.hex() for v in dataclasses.astuple(profile)]
         assert bits(profile_of(dist)) == bits(constellation_profile(dist))
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
+
+
+# a part value or mean: magnitude log-uniform in 1e-3..1e3, either sign
+_SIGNED = st.tuples(_log_uniform(1e-3, 1e3), st.booleans()).map(
+    lambda draw: -draw[0] if draw[1] else draw[0])
+_VARIANCES = _log_uniform(1e-6, 1e6)
+
+
+def _constellation(symbols):
+    weights = [w for _, _, w in symbols]
+    return FiniteConstellation([complex(re, im) for re, im, _ in symbols],
+                               [w / math.fsum(weights) for w in weights])
+
+
+_INPUTS = st.one_of(
+    st.lists(st.tuples(_SIGNED, _SIGNED, st.floats(0.0, 1.0)), min_size=1, max_size=8)
+    .filter(lambda symbols: any(w > 0.0 for _, _, w in symbols)).map(_constellation),
+    st.builds(GaussianGeneral, _SIGNED, _SIGNED, _VARIANCES, _VARIANCES),
+    st.builds(GaussianZeroMean, _VARIANCES, _VARIANCES))
+_EXACT_BOUND = 4 * Fraction(sys.float_info.epsilon)
+
+
+@settings(max_examples=1000, derandomize=True, database=None, deadline=None)
+@given(dist=_INPUTS)
+def test_moments_match_exact_fractions(dist):
+    """Over constellations of at most 8 points, with parts of magnitude
+    log-uniform in 1e-3..1e3, either sign and random probabilities, and over
+    Gaussians with such means and variances in 1e-6..1e6, each of
+    profile_of's eight moments and derived_moments' P, Q and Q_tilde is
+    within 4*eps of its exact rational value from the float inputs as
+    stored, scaled by the sum of the magnitudes of its terms (measured at
+    most 2.48 over 28 000 random draws)."""
+    profile = profile_of(dist)
+    exact, scale = profile_exact(dist), profile_exact(dist, absolute=True)
+    for name in exact._fields:
+        error = abs(Fraction(getattr(profile, name)) - getattr(exact, name))
+        assert error <= _EXACT_BOUND * getattr(scale, name), name
+    got = derived_moments(profile)
+    assert got.Q_tilde == q_tilde(profile)
+    exact, scale = derived_moments_exact(exact), derived_moments_exact(scale, absolute=True)
+    for name in ("P", "Q", "Q_tilde"):
+        error = abs(Fraction(getattr(got, name)) - getattr(exact, name))
+        assert error <= _EXACT_BOUND * getattr(scale, name), name
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(

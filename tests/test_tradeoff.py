@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
+from swipt import tradeoff
 from swipt.cli import main
 from swipt.moments import GaussianZeroMean, derived_moments, gaussian_profile
 from swipt.rectenna import ChannelParams, _gaussian_power, coeffs, delivered_power
@@ -30,7 +31,7 @@ from swipt.tradeoff import (
     rp_region,
 )
 
-from oracles import kkt_check_nnls, lambda2_mp, power_mp, rate_mp
+from oracles import kkt_check_nnls, lambda2_mp, power_mp, rate_mp, rp_region_fresh
 
 
 CH = ChannelParams(h=1.0, h_tilde=1.0, sigma_w2=1e-4, f_w=1.0,
@@ -209,8 +210,10 @@ class TestRegion:
 
     def test_sweep_peak_per_point(self):
         """A 1e5-point sweep peaks at no more than 256 B of traced memory
-        per point (measured 232; 184 retained): one 4-tuple of floats and
-        its list slot, with the array columns and their lists transient."""
+        per point: one 4-tuple of floats and its list slot, with the array
+        columns and the rate and power lists transient.  Measured 232 (184
+        retained) where the sweep lists its own splits; this repeated sweep
+        shares the first one's, 169 (137 retained)."""
         n = 100_000
         rp_region(1.0, CH, n)  # imports and first-call set-up
         was_tracing = tracemalloc.is_tracing()
@@ -226,6 +229,54 @@ class TestRegion:
                 tracemalloc.stop()
         assert len(pts) == n
         assert peak <= 256 * n
+
+    def test_repeated_sweep_holds_per_point(self):
+        """After one 1e4-point sweep at a budget, a sweep of another channel
+        at the same budget and size holds at most 145 B of traced memory per
+        point (measured 136.5; 184.5 when every sweep listed its own
+        splits): the RPPoint, its rate and power floats and its list slot.
+        Its P_r and P_i are the first sweep's floats."""
+        n = 10_000
+        first = rp_region(1.0, CH, n)
+        was_tracing = tracemalloc.is_tracing()
+        if not was_tracing:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            pts = rp_region(1.0, linear_channel(), n)
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert all(p.P_r is q.P_r and p.P_i is q.P_i for p, q in zip(pts, first))
+        assert held <= 145 * n
+
+    def test_sweeps_at_one_key_share_their_splits(self):
+        """The key is (P_a, n_points) after the budget and size rules, so
+        numpy scalars of the same values share too; a sweep at another key
+        replaces the grid, and one at the first key then lists new floats
+        with the same bits."""
+        def hexes(pts):
+            return [tuple(map(float.hex, pt)) for pt in pts]
+
+        first = rp_region(0.37, CH, 201)
+        for again in (rp_region(0.37, linear_channel(), 201),
+                      rp_region(np.float64(0.37), CH, np.int64(201)),
+                      rp_region(0.37, CH, 201.0)):
+            assert all(p.P_r is q.P_r and p.P_i is q.P_i for p, q in zip(again, first))
+        rp_region(2.5, CH, 201)
+        third = rp_region(0.37, CH, 201)
+        assert third[100].P_i is not first[100].P_i
+        assert hexes(third) == hexes(first)
+
+    def test_sweep_that_raises_keeps_the_grid(self):
+        """rp_region takes the rates before it touches the grid, so a sweep
+        whose rate overflows leaves the last grid in place."""
+        first = rp_region(1000.0 / 3.0, CH, 11)
+        with pytest.raises(ValueError, match="the rate"):
+            rp_region(1000.0, ChannelParams(sigma_w2=1e-307), 5)
+        again = rp_region(1000.0 / 3.0, linear_channel(), 11)
+        assert all(p.P_i is q.P_i for p, q in zip(again, first))
 
 
 def log_uniform(lo, hi):
@@ -336,6 +387,41 @@ def test_allocation_root_matches_50_digit_oracle(h, h_tilde, sigma_w2, f_w, k2, 
     alloc = optimal_allocation(P_a, target, ch)
     assert 0.0 <= alloc.P_i <= 0.5 * P_a
     assert abs(power_mp(alloc.P_r, alloc.P_i, ch) - target) <= 8 * 2.0**-52 * high
+
+
+_CHANNELS = st.builds(
+    ChannelParams, h=log_uniform(1e-3, 1e3), h_tilde=log_uniform(1e-3, 1e3),
+    sigma_w2=log_uniform(1e-12, 1e2), f_w=log_uniform(1e-3, 1e15),
+    k2=log_uniform(1e-4, 1e2), k4=log_uniform(1e-4, 1e4))
+# a*P overflows from P_a of about 9 up: the rate rule rejects those sweeps
+_RATE_OVERFLOW = ChannelParams(sigma_w2=1e-307)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(keys=st.lists(st.tuples(log_uniform(1e-6, 1e6), st.integers(2, 300)),
+                     min_size=1, max_size=3),
+       steps=st.lists(st.tuples(st.integers(0, 2), _CHANNELS | st.just(_RATE_OVERFLOW)),
+                      min_size=2, max_size=6))
+def test_sweeps_in_sequence_match_fresh_sweeps(keys, steps):
+    """Over short sequences of sweeps whose (P_a, n_points) keys repeat,
+    drawn over the 50-digit properties' ranges, every sweep is float.hex
+    equal to one that lists its own splits, whatever grid the sweeps before
+    it left.  A draw that the budget or rate rule rejects is skipped, and
+    its sweep raises and leaves the grid as it was."""
+    for index, ch in steps:
+        P_a, n_points = keys[index % len(keys)]
+        try:
+            want = rp_region_fresh(P_a, ch, n_points)
+        except ValueError:
+            grid = tradeoff._grid
+            with pytest.raises(ValueError):
+                rp_region(P_a, ch, n_points)
+            assert tradeoff._grid is grid
+            continue
+        got = rp_region(P_a, ch, n_points)
+        assert type(got) is list and all(type(pt) is RPPoint for pt in got)
+        assert ([tuple(map(float.hex, pt)) for pt in got]
+                == [tuple(map(float.hex, pt)) for pt in want])
 
 
 # Every public door to the budget rule, as a call of (P_a, ch).
