@@ -16,13 +16,7 @@ as a dict.  Every rate takes its SNR slope through one rule: it must be
 finite; and a rate past the float range raises ValueError instead of
 coming back infinite.
 
-The sweep's splits depend on the budget and the size, never on the
-channel, so the module keeps one entry: the P_r and P_i float lists of the
-last sweep, keyed by its (P_a, n_points) after the budget and size rules.
-Sweeps of many channels at one budget and size share those floats.  The
-key is exact by value, since P_a is a positive finite float and equal
-positive floats have equal bits; solves, reports and channels are never
-keyed by value.  The lists stay alive until a sweep at another key.
+Sweeps at one budget and size share their P_r and P_i floats: see rp_region.
 """
 
 from __future__ import annotations
