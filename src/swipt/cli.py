@@ -106,7 +106,7 @@ def from_json(cls, data, what):
 # Largest accepted sizes, checked before anything is allocated.  Each keeps
 # the largest run at or below about 2 GB of peak memory at its measured cost
 # per unit (see README's table): 16 B per series term (0.8 GB at the bound),
-# 1.6 kB per JSON sweep point, 50 B per Monte-Carlo symbol, and 90 B per
+# 1.6 kB per JSON sweep point, 50 B per Monte-Carlo symbol, and 200 B per
 # unit of window on top of that.
 # Memory does not grow with oversample, but time does, linearly.  The 50 B
 # per symbol holds for sizes with a divisor near their square root, as

@@ -7,7 +7,8 @@ order collapse to simple rationals; they are what turns the harvested-power
 time average into a closed form.  verify is the one door to the nine
 sums: one O(N) pass over the truncation window gives all nine partial sums
 at once, and verify reports each next to its constant, so every reduction
-can be cross-checked numerically.
+can be cross-checked numerically.  The private _s_first builds the
+coefficients, for the sums and for simulate's interpolation kernel.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .moments import _integer
 
 __all__ = [
     "SeriesReport",
-    "s_coeff",
     "verify",
 ]
 
@@ -40,26 +40,11 @@ _ANALYTIC = {
 }
 
 
-def s_coeff(l):
-    """sinc(l + 1/2) = (-1)^l / (pi * (l + 1/2)) for integer l.
-
-    Folds negative indices onto the nonnegative branch so the symmetry
-    s(-l-1) == s(l) holds bit-exactly.  Accepts scalars or integer arrays.
-    """
-    arr = np.asarray(l)
-    m = np.where(arr >= 0, arr, -arr - 1)
-    sign = np.where(m % 2 == 0, 1.0, -1.0)
-    vals = sign / (np.pi * (m + 0.5))
-    if arr.ndim == 0:
-        return float(vals)
-    return vals
-
-
 def _s_first(n_terms):
-    # s_l for l = 0 .. n_terms-1 in one float array and no index arrays:
-    # s_coeff's values bit for bit, as a test checks.  l + 1/2 is exact
-    # below 2^52, IEEE products commute and -(1/x) == -1/x under
-    # round-to-nearest.
+    # s_l for l = 0 .. n_terms-1 in one float array and no index arrays, the
+    # package's one tap builder (the series sums, simulate's kernel).  A test
+    # holds it to the oracle s_coeff bit for bit: l + 1/2 is exact below
+    # 2^52, IEEE products commute and -(1/x) == -1/x under round-to-nearest.
     s = np.arange(n_terms, dtype=float)
     s += 0.5
     s *= np.pi
@@ -88,8 +73,9 @@ def _window_sums(n_terms):
     bits.  Chunked sums would hold O(1) memory but reorder the additions
     and move the printed partial sums.
     """
-    s = _s_first(n_terms)
-    edge = s_coeff(n_terms)
+    s = _s_first(n_terms + 1)
+    edge = float(s[n_terms])
+    s = s[:n_terms]
     t0 = float(2.0 * s.sum() + edge)
     s2 = s * s
     s0 = float(2.0 * s2.sum() + edge**2)

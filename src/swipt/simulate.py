@@ -35,7 +35,7 @@ from .moments import (
     profile_of,
 )
 from .rectenna import delivered_power
-from .series import s_coeff
+from .series import _s_first
 
 __all__ = [
     "McEstimate",
@@ -184,8 +184,10 @@ def _draw(dist, n, seed, domain):
 
 
 def _kernel(window):
-    # taps s_{-window} .. s_{window}, convolution-ordered
-    return s_coeff(np.arange(-window, window + 1))
+    # taps s_{-window} .. s_{window}, convolution-ordered: s_0 .. s_window
+    # mirrored through s_{-l} = s_{l-1}, 12 B per tap at the peak
+    s = _s_first(window + 1)
+    return np.concatenate((s[window - 1::-1], s))
 
 
 def _half_samples(symbols, window):

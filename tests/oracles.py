@@ -3,6 +3,10 @@
 None of these is part of the package: each is a slower or differently
 derived route to a quantity the package computes in closed form.
 
+* s_coeff — the half-sample sinc coefficient s_l = sinc(l + 1/2) at any
+  integer l, from an index array and a sign table: the closed-form
+  reference for the taps series._s_first builds in place, which the series
+  sums and simulate._kernel use;
 * SERIES_IDS, series_sums — the nine series ids in series.verify's order,
   and verify's partial sums keyed by id;
 * window_sums_five_arrays — series._window_sums as it was built from an
@@ -61,7 +65,7 @@ from swipt.moments import (
     gaussian_profile,
 )
 from swipt.rectenna import _budget, _gaussian_power, coeffs, delivered_power
-from swipt.series import s_coeff, verify
+from swipt.series import verify
 from swipt.simulate import (
     _DOM_NOISE_EVEN,
     _DOM_NOISE_ODD,
@@ -81,6 +85,21 @@ _PAIR_IDS = ("S1", "S3", "S6")
 _HIGHER_IDS = ("S2", "S4")
 _PAIR_WINDOW_MAX = 2000
 _HIGHER_WINDOW_MAX = 200
+
+
+def s_coeff(l):
+    """sinc(l + 1/2) = (-1)^l / (pi * (l + 1/2)) for integer l.
+
+    Folds negative indices onto the nonnegative branch so the symmetry
+    s(-l-1) == s(l) holds bit-exactly.  Accepts scalars or integer arrays.
+    """
+    arr = np.asarray(l)
+    m = np.where(arr >= 0, arr, -arr - 1)
+    sign = np.where(m % 2 == 0, 1.0, -1.0)
+    vals = sign / (np.pi * (m + 0.5))
+    if arr.ndim == 0:
+        return float(vals)
+    return vals
 
 
 def series_sums(n_terms):

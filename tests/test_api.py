@@ -61,7 +61,7 @@ def test_oracles_live_in_tests(name):
     for attr in ("half_sample_value", "half_samples_one_fft", "_pad_spectrum", "_upsample",
                  "empirical_profile", "mc_even_fourth_moment", "fourth_moment_even",
                  "delivered_power_gaussian_zero_mean", "_finite_nonnegative",
-                 "partial_sum", "analytic_value", "SERIES_IDS"):
+                 "partial_sum", "analytic_value", "SERIES_IDS", "s_coeff"):
         assert not hasattr(module, attr), f"swipt.{name}.{attr}"
     assert not hasattr(MomentProfile, "swapped")
     assert not hasattr(RPPoint, "allocation")

@@ -30,7 +30,6 @@ from swipt.moments import (
     q_tilde,
 )
 from swipt.rectenna import ChannelParams, delivered_power
-from swipt.series import s_coeff
 from swipt.simulate import _DOM_SYMBOLS, _draw, closed_form_delivered_power
 
 from oracles import (
@@ -39,6 +38,7 @@ from oracles import (
     empirical_profile,
     profile_exact,
     q_tilde_intermediate,
+    s_coeff,
     series_sums,
     swapped,
 )

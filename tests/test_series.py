@@ -13,9 +13,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from swipt.series import _s_first, _window_sums, s_coeff, verify
+from swipt.series import _s_first, _window_sums, verify
 
-from oracles import SERIES_IDS, brute_force_double_sum, series_sums, window_sums_five_arrays
+from oracles import (
+    SERIES_IDS,
+    brute_force_double_sum,
+    s_coeff,
+    series_sums,
+    window_sums_five_arrays,
+)
 
 ANALYTIC = {
     "T0": 1.0, "T1": 0.5, "S0": 1.0, "S1": 0.0, "S2": 0.0,

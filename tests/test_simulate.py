@@ -62,6 +62,7 @@ from oracles import (
     half_samples_one_fft,
     mc_even_fourth_moment,
     mc_oversampled_single_grid,
+    s_coeff,
     series_sums,
     upsample,
 )
@@ -374,6 +375,15 @@ class TestHalfSampleValue:
             half_sample_value(symbols, 8, 3)
         with pytest.raises(ValueError):
             half_sample_value(symbols, 5, 0)
+
+
+class TestKernel:
+    @pytest.mark.parametrize("window", [1, 2, 3, 127, 128, 1000, 499_000])
+    def test_kernel_is_the_closed_form_taps(self, window):
+        """The kernel mirrors s_0 .. s_window through s_{-l} = s_{l-1} and
+        has the closed-form taps s_{-window} .. s_window bit for bit."""
+        expected = s_coeff(np.arange(-window, window + 1))
+        assert _kernel(window).tobytes() == expected.tobytes()
 
 
 class TestOverlapSave:
@@ -718,6 +728,15 @@ class TestMemory:
         finally:
             if not was_tracing:
                 tracemalloc.stop()
+
+    def test_kernel_peak_per_tap(self):
+        """_kernel(499 000) peaks at no more than 16 B of traced memory per
+        tap (measured 12; 40 from index arrays and a sign table): the
+        window + 1 taps it mirrors, and the kernel."""
+        window = 499_000
+        _kernel(16)
+        peak = self._traced_peak(lambda: _kernel(window))
+        assert peak <= 16 * (2 * window + 1)
 
     @pytest.mark.parametrize("oversample", [8, 32])
     def test_oversampled_peak_is_independent_of_oversample(self, oversample):
