@@ -184,8 +184,7 @@ def _draw(dist, n, seed, domain):
 
 
 def _kernel(window):
-    # taps s_{-window} .. s_{window}, convolution-ordered: s_0 .. s_window
-    # mirrored through s_{-l} = s_{l-1}, 12 B per tap at the peak
+    # taps s_{-window} .. s_window in order, by s_{-l} = s_{l-1}: 12 B per tap
     s = _s_first(window + 1)
     return np.concatenate((s[window - 1::-1], s))
 

@@ -17,6 +17,8 @@ finite; and a rate past the float range raises ValueError instead of
 coming back infinite.
 
 Sweeps at one budget and size share their P_r and P_i floats: see rp_region.
+Full budget: rate and power grow in each P_d.  No time-sharing: P(R) is
+concave, |dP/dR| growing toward the even split (tests/test_inner_bound.py).
 """
 
 from __future__ import annotations
