@@ -468,6 +468,16 @@ POINTS = [[1.0, 0.0], [-1.0, 0.0]]
     ("--profile", {**PROFILE, "mu_r": [1]}, "profile.mu_r"),
     ("--dist", {"kind": "constellation", "points": POINTS, "probs": 5},
      "distribution.probs"),
+    # a 400-digit JSON integer is no float
+    ("--config", {"P_a": 10**400}, "config.P_a is out of range, got 1000"),
+    ("--config", {"channel": {"h": [10**400, 0.0]}},
+     "config.channel.h[0] is out of range, got 1000"),
+    ("--profile", {**PROFILE, "Q_i": 10**400}, "profile.Q_i is out of range, got 1000"),
+    ("--dist", {"kind": "constellation", "points": POINTS, "probs": [10**400, 1.0]},
+     "distribution.probs[0] is out of range, got 1000"),
+    ("--config", {"output": {"format": "xml"}}, "output format must be json or csv, got 'xml'"),
+    ("--dist", [1], "distribution spec must be an object with a 'kind' key"),
+    ("--dist", {}, "distribution spec must be an object with a 'kind' key"),
 ])
 def test_malformed_input_is_a_config_error(tmp_path, capsys, flag, document, field):
     """Each malformed value exits 2 with one line naming its field, not a

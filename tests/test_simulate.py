@@ -519,6 +519,8 @@ class TestMcQTilde:
             mc_q_tilde(dist, 99, 16, SEED)
         with pytest.raises(ValueError, match="window must be >= 1"):
             mc_q_tilde(dist, 200, 0, SEED)
+        with pytest.raises(TypeError, match="unsupported input distribution"):
+            mc_q_tilde(object(), 200, 16, SEED)
 
     def test_past_the_float_range_is_a_value_error(self):
         """|X~|^4 near 1e160 squares past the float range in the standard
@@ -579,6 +581,8 @@ class TestMcDeliveredPowerStructure:
             mc_delivered_power(dist, CH, 2000, 4, SEED, window=0)
         with pytest.raises(ValueError, match="edge guard"):
             mc_delivered_power(dist, CH, 1000, 4, SEED, window=500)
+        with pytest.raises(TypeError, match="unsupported input distribution"):
+            mc_delivered_power(object(), CH, 2000, 4, SEED)
 
     def test_deterministic(self):
         dist = FiniteConstellation.qpsk()
