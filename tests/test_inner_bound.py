@@ -29,7 +29,14 @@ from hypothesis import strategies as st
 
 from swipt.moments import GaussianZeroMean
 from swipt.rectenna import ChannelParams, _gaussian_power, coeffs
-from swipt.tradeoff import _snr_gain, kkt_check, optimal_allocation, pdc_max, pdc_min, rate_gaussian
+from swipt.tradeoff import (
+    _snr_gain,
+    kkt_check,
+    optimal_allocation,
+    pdc_max,
+    pdc_min,
+    rate_gaussian,
+)
 
 P_r, P_i, P_a, a, f_w = sp.symbols("P_r P_i P_a a f_w", positive=True)
 alpha, alpha_t, beta, beta_t, gamma = sp.symbols(
@@ -82,13 +89,14 @@ def test_time_sharing_adds_nothing():
     assert factor.is_nonnegative
     # the rate rises toward the even split: dR/dP_i on the line is a
     # positive multiple of P_a - 2 P_i
+    above_p_i = {P_a: P_i + sp.Symbol("q", positive=True)}  # P_a > P_i
     rate_rise = sp.simplify(d_rate.subs(on_line) / (P_a - 2 * P_i))
-    assert sp.simplify(rate_rise.subs(P_a, P_i + sp.Symbol("q", positive=True))).is_positive
+    assert sp.simplify(rate_rise.subs(above_p_i)).is_positive
     curvature = sp.simplify(sp.diff(slope, P_i) / d_rate.subs(on_line))
     closed = (-16 * (alpha + alpha_t) * sp.log(2)**2 * (1 + a * (P_a - P_i)) * (1 + a * P_i)
               / (f_w**2 * a**2))
     assert sp.simplify(curvature - closed) == 0
-    assert closed.subs(P_a, P_i + sp.Symbol("q", positive=True)).is_nonpositive
+    assert closed.subs(above_p_i).is_nonpositive
 
 
 def _log_uniform(lo, hi):

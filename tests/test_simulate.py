@@ -738,7 +738,7 @@ class TestMemory:
         tap (measured 12; 40 from index arrays and a sign table): the
         window + 1 taps it mirrors, and the kernel."""
         window = 499_000
-        _kernel(16)
+        _kernel(16)  # first-call set-up
         peak = self._traced_peak(lambda: _kernel(window))
         assert peak <= 16 * (2 * window + 1)
 
