@@ -24,7 +24,7 @@ import sys
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from swipt.cli import (
@@ -595,7 +595,8 @@ def run_configs(draw, path):
                               path=st.none() | st.just(path))))
 
 
-@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@seed(0x34dde3ca2ee6698995715039615f0e22d4ae35e84da2b96ebf5e774b483694f6860e093ebb2d7ac713b0c06f22a3106d)
+@settings(max_examples=60)
 @given(data=st.data())
 def test_dump_config_reads_back_as_the_config(tmp_path_factory, data):
     """Any valid config, given partly as inline JSON and partly as flags,
@@ -620,7 +621,8 @@ def test_dump_config_reads_back_as_the_config(tmp_path_factory, data):
     assert from_json(RunConfig, json.loads(out), "config") == config
 
 
-@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@seed(0x165f14643a1eaf66676d362cf35df329751be011779f82de22d0564d7eaf482fd37b3aec2522e63be36bd862fe4608cd)
+@settings(max_examples=40)
 @given(mu_r=st.floats(-1e3, 1e3), mu_i=st.floats(-1e3, 1e3),
        var_r=st.floats(0.0, 1e3), var_i=st.floats(0.0, 1e3))
 def test_gaussian_profiles_read_back(mu_r, mu_i, var_r, var_i):
@@ -848,7 +850,8 @@ DIST_SPECS = st.one_of(
 )
 
 
-@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@seed(0x305d09f3bf750522fd2792b0e4a8b3aeb36cfec1880ce33c7d445ba9f44a9f4c89e60451b50a9f86fabf633cfb5b35a5)
+@settings(max_examples=200)
 @given(spec=DIST_SPECS)
 def test_power_eval_of_any_finite_distribution_exits_0_or_2(spec):
     """power-eval either prints a breakdown or rejects the distribution with

@@ -11,7 +11,7 @@ import pickle
 import sys
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from swipt.cli import from_json
@@ -219,7 +219,8 @@ GAINS = st.floats() | st.complex_numbers()
 ZERO_OR_MORE = st.sampled_from([0.0, -0.0]) | st.floats(min_value=0.0)
 
 
-@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@seed(0xbb9bf5fdc24b36143288ebb030253ba12f95f4ffa65fd6021f967a3636d45aa5fdf5624f675882048579a6459d36c061)
+@settings(max_examples=300)
 @given(h=GAINS, h_tilde=GAINS, sigma_w2=st.floats(min_value=0.0, exclude_min=True),
        f_w=st.floats(min_value=0.0, exclude_min=True), k2=ZERO_OR_MORE, k4=ZERO_OR_MORE)
 def test_coeffs_never_raise_on_a_channel_that_constructs(**fields):

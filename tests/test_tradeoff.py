@@ -12,7 +12,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, reject, settings
+from hypothesis import example, given, reject, seed, settings
 from hypothesis import strategies as st
 
 from swipt import tradeoff
@@ -284,7 +284,8 @@ def log_uniform(lo, hi):
     return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
 
 
-@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@seed(0x8f037b6cdb868fb41fed6390556f464614dde56407719730e9a8b41bc9dc14dde274a51f5a29c0354b705c6a28353a7b)
+@settings(max_examples=300)
 @given(h=log_uniform(1e-3, 1e3), h_tilde=log_uniform(1e-3, 1e3),
        sigma_w2=log_uniform(1e-12, 1e2), f_w=log_uniform(1e-3, 1e15),
        k2=log_uniform(1e-4, 1e2), k4=log_uniform(1e-4, 1e4),
@@ -316,7 +317,8 @@ def test_frontier_rate_matches_50_digit_oracle(h, h_tilde, sigma_w2, f_w, k2, k4
     assert rate_gaussian(GaussianZeroMean(pts[-1].P_r, pts[-1].P_i), ch) == pts[-1].rate
 
 
-@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@seed(0x395c2393256a69e5b97aa73252de1dfe827d120aada7f597a8b02d0756f8578b8c45e26c1cec9d0ec240f4407384422d)
+@settings(max_examples=300)
 @given(h=log_uniform(1e-3, 1e3), h_tilde=log_uniform(1e-3, 1e3),
        sigma_w2=log_uniform(1e-12, 1e2), f_w=log_uniform(1e-3, 1e15),
        k2=log_uniform(1e-4, 1e2), k4=log_uniform(1e-4, 1e4),
@@ -339,7 +341,8 @@ def test_frontier_power_matches_50_digit_oracle(h, h_tilde, sigma_w2, f_w, k2, k
         assert cur.power <= prev.power
 
 
-@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@seed(0xd6636089cc1e1aa174f2ee2f887850c3285df2773996512855084f4f1075505d6c3a804e6ddb87cd6f4ff6dee0a0d66b)
+@settings(max_examples=300)
 @given(h=log_uniform(1e-3, 1e3), h_tilde=log_uniform(1e-3, 1e3),
        sigma_w2=log_uniform(1e-12, 1e2), f_w=log_uniform(1e-3, 1e15),
        k2=log_uniform(1e-4, 1e2), k4=log_uniform(1e-4, 1e4),
@@ -368,7 +371,8 @@ def test_kkt_lambda2_matches_50_digit_oracle(h, h_tilde, sigma_w2, f_w, k2, k4, 
     assert abs(report.lambda2 - exact) <= 6 * 2.0**-52 * exact
 
 
-@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@seed(0x57d86c69a43913d0837aeefaf483412046655327545e54f13b86e683c057b47e3a989fe066119ad0ea969452526eda09)
+@settings(max_examples=300)
 @given(h=log_uniform(1e-3, 1e3), h_tilde=log_uniform(1e-3, 1e3),
        sigma_w2=log_uniform(1e-12, 1e2), f_w=log_uniform(1e-3, 1e15),
        k2=log_uniform(1e-4, 1e2), k4=log_uniform(1e-4, 1e4),
@@ -398,7 +402,8 @@ _CHANNELS = st.builds(
 _RATE_OVERFLOW = ChannelParams(sigma_w2=1e-307)
 
 
-@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@seed(0xf4d58ec023b20a5b74aab3380f11fe44b54d77511ef503543a9dc27ac983deee651e4ee73cd6f49b667d64b54b73f23c)
+@settings(max_examples=200)
 @given(keys=st.lists(st.tuples(log_uniform(1e-6, 1e6), st.integers(2, 300)),
                      min_size=1, max_size=3),
        steps=st.lists(st.tuples(st.integers(0, 2), _CHANNELS | st.just(_RATE_OVERFLOW)),
@@ -659,7 +664,8 @@ _POWERS = st.floats(0.0, 1e300) | st.floats(0.0, 10.0)
 _SHARES = st.floats(-1.0, 1.0) | st.just(math.nan)
 
 
-@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@seed(0xafd599eb4037a20cae8dbd2fbd2be4afa97cef13120138939415163b2541f38b024d7f365eca2781e382711ed6f04252)
+@settings(max_examples=300)
 @given(P_r=_POWERS, P_i=_POWERS, share_r=_SHARES, share_i=_SHARES,
        full_budget=st.booleans(), P_d=st.sampled_from([0.0, 10.0]),
        k4=st.sampled_from([19.145, 0.0]))
@@ -691,7 +697,8 @@ def test_kkt_check_with_a_subnormal_gradient_gap():
     assert report.stationarity_residual_Pr == -report.stationarity_residual_Pi != 0.0
 
 
-@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@seed(0x87e81b2add090f6bc6d9c37e7f90e818aba0e94945b61ac6cdbc9ac520cf65bdca8caee02282e74076e84ef3a9a915a3)
+@settings(max_examples=300)
 @given(P_r=_POWERS, P_i=_POWERS, k2=st.sampled_from([0.0, 0.17, 1e10]),
        k4=st.sampled_from([19.145, 1e-300, 1e-320, 0.0]),
        sigma_w2=st.sampled_from([1e-4, 1e-300]))
@@ -740,7 +747,8 @@ def test_gaussian_power_closed_form_symbolic():
         assert sp.expand(sp.diff(fourth, mu_r) + 8 * mu_r**3) == 0
 
 
-@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@seed(0x9229b3d741c0717c51413b3d71fdb44a7ece2c2428d1027647aba403de210dd385d7d175d28c6322f32781bf64113774)
+@settings(max_examples=300)
 @given(P_r=st.floats(0.0, 3.0), P_i=st.floats(0.0, 3.0),
        share_r=st.floats(-1.0, 1.0), share_i=st.floats(-1.0, 1.0),
        h=st.complex_numbers(max_magnitude=2.0), h_tilde=st.complex_numbers(max_magnitude=2.0),
