@@ -11,13 +11,12 @@ so the gate can be read off a plain pytest run.
 import json
 import math
 import os
-import subprocess
-import sys
 import time
 
 import numpy as np
 
 import _gate
+from _support import run_cli
 from oracles import (
     SERIES_IDS,
     bisection_allocation,
@@ -291,12 +290,9 @@ def test_criterion_9_byte_identical_under_thread_counts(tmp_path):
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                     "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
             env[var] = threads
-        proc = subprocess.run(
-            [sys.executable, "-m", "swipt.cli", "mc-validate",
-             "--config", str(path)],
-            capture_output=True, env=env, check=False)
-        outputs.append(proc.stdout)
-        codes.append(proc.returncode)
+        code, out, _ = run_cli("mc-validate", "--config", str(path), env=env, text=False)
+        outputs.append(out)
+        codes.append(code)
     ok = outputs[0] == outputs[1] and codes[0] == codes[1] == 0
     report(9, ok,
            f"mc-validate stdout identical under 1 and 8 BLAS/OpenMP threads "

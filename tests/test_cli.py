@@ -1,7 +1,8 @@
 """Command-line interface: argument handling, config resolution, output
 formats, and exit codes.  Most tests run in-process through main(argv).
-The ones that call subprocess.run start a fresh interpreter because they
-need one:
+The ones that start a fresh interpreter need one: run_cli runs
+`python -m swipt.cli` in it, and the import and signed-zeros checks run
+their own `python -c` code:
 
 * the import check reads a new process's sys.modules;
 * the overflow, non-finite and degenerate-input checks (and _power_eval's
@@ -21,7 +22,6 @@ import json
 import os
 import subprocess
 import sys
-import tracemalloc
 
 import pytest
 from hypothesis import given, seed, settings
@@ -51,16 +51,25 @@ from swipt.moments import (
 from swipt.rectenna import ChannelParams, delivered_power
 from swipt.simulate import ESTIMATORS, mc_delivered_power
 
+from _support import run_cli, traced_memory
 from oracles import SERIES_IDS, rate_mp
 
 
 SYM_DIST = '{"kind": "gaussian_zero_mean", "P_r": 0.5, "P_i": 0.5}'
 
 
-def write_config(tmp_path, data, name="config.json"):
-    path = tmp_path / name
+def write_config(tmp_path, data):
+    path = tmp_path / "config.json"
     path.write_text(json.dumps(data))
     return str(path)
+
+
+def _error_line(code, out, err):
+    """The one stderr line of a run that exits 2 with nothing on stdout."""
+    assert (code, out) == (2, "")
+    [line] = err.splitlines()
+    assert line.startswith("error: ")
+    return line
 
 
 class TestDistributionSpec:
@@ -121,15 +130,6 @@ class TestSeriesVerifyCommand:
             for cell in cells[1:]:
                 float(cell)
 
-    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
-    def test_non_finite_or_negative_tolerance_is_a_config_error(self, capsys, tol):
-        code = main(["series-verify", "--n-terms", "500", f"--tol={tol}"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert captured.err.splitlines() == [captured.err.strip()]
-        assert captured.err.startswith("error: tol must be finite")
-
 
 class TestPowerEvalCommand:
     def test_symmetric_gaussian_breakdown(self, capsys):
@@ -159,24 +159,6 @@ class TestPowerEvalCommand:
         out = json.loads(capsys.readouterr().out)
         assert code == 0
         assert out["Q"] == pytest.approx(2.0, rel=1e-12)
-
-    def test_invalid_profile_is_a_config_error(self, capsys):
-        bad = ('{"mu_r": 0, "mu_i": 0, "P_r": 1, "P_i": 1,'
-               ' "T_r": 0, "T_i": 0, "Q_r": 0.5, "Q_i": 3}')
-        code = main(["power-eval", "--profile", bad])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.err.startswith("error: ")
-        assert "Jensen" in captured.err
-
-    def test_impossible_third_moment_is_a_config_error(self, capsys):
-        bad = ('{"mu_r": 0, "mu_i": 0, "P_r": 1, "P_i": 1,'
-               ' "T_r": 100, "T_i": 0, "Q_r": 1, "Q_i": 1}')
-        code = main(["power-eval", "--profile", bad])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert captured.err.startswith("error: moment violation")
 
     def test_requires_exactly_one_input(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -220,13 +202,6 @@ class TestMcValidateCommand:
         assert code == 0
         assert out["results"][0]["closed_form"] == pytest.approx(
             57.79799157435, rel=1e-11)
-
-    def test_undersampled_config_is_an_error(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {"mc": {**SMALL_MC["mc"], "oversample": 1}})
-        code = main(["mc-validate", "--config", cfg])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert "error: " in captured.err
 
     def test_two_gains_at_oversample_eight_is_an_error(self, tmp_path, capsys):
         """The oversampled estimator interpolates between the phases, which
@@ -275,16 +250,13 @@ class TestMcValidateCommand:
         itself: either exits 2 with one error line and no numpy warning.  A
         fresh process, where numpy's overflow would be a warning."""
         document = {"P_a": P_a, "mc": {"n_symbols": 2000, "oversample": 8}}
-        proc = subprocess.run([sys.executable, "-m", "swipt.cli", "mc-validate",
-                               "--config", json.dumps(document)],
-                              capture_output=True, text=True)
-        assert proc.returncode == code
+        got, out, err = run_cli("mc-validate", "--config", json.dumps(document))
+        assert got == code
         if code == 0:
-            assert proc.stderr == ""
-            assert json.loads(proc.stdout)["pass"]
+            assert err == ""
+            assert json.loads(out)["pass"]
         else:
-            assert proc.stdout == ""
-            [line] = proc.stderr.splitlines()
+            line = _error_line(got, out, err)
             assert line.startswith("error: the estimate leaves the float range")
 
     def test_csv_format(self, tmp_path, capsys):
@@ -366,58 +338,11 @@ class TestConfigHandling:
         out = json.loads(capsys.readouterr().out)
         assert out["mc"]["seed"] == 9
 
-    def test_unknown_config_key(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {"bandwidth": 2.0})
-        code = main(["region", "--config", cfg])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert "unknown config keys" in captured.err
-
-    def test_malformed_json_config(self, tmp_path, capsys):
-        path = tmp_path / "broken.json"
-        path.write_text("{not json")
-        code = main(["region", "--config", str(path)])
-        assert code == 2
-        assert "not valid JSON" in capsys.readouterr().err
-
-    def test_missing_config_file(self, capsys):
-        code = main(["region", "--config", "/nonexistent/config.json"])
-        assert code == 2
-        assert "cannot read config" in capsys.readouterr().err
-
-    def test_negative_seed_flag(self, capsys):
-        code = main(["region", "--seed", "-3", "--dump-config"])
-        assert code == 2
-        assert "seed" in capsys.readouterr().err
-
-    def test_non_finite_target_flag(self, capsys):
-        code = main(["region", "--n-points", "3", "--target", "nan"])
-        assert code == 2
-        assert "targets must be finite" in capsys.readouterr().err
-
-    def test_non_finite_budget_in_config(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {"P_a": float("inf")})
-        code = main(["region", "--config", cfg])
-        assert code == 2
-        assert "P_a must be positive and finite" in capsys.readouterr().err
-
     def test_run_config_rejects_non_finite_values(self):
         with pytest.raises(ValueError, match="P_a"):
             RunConfig(P_a=float("nan"))
         with pytest.raises(ValueError, match="targets"):
             RunConfig(targets=(70.0, float("-inf")))
-
-    def test_non_integral_mc_value(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {"mc": {"seed": 1.9}})
-        code = main(["mc-validate", "--config", cfg])
-        assert code == 2
-        assert "mc.seed must be an integer" in capsys.readouterr().err
-
-    def test_non_integral_sweep_value(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {"sweep": {"n_points": 10.5}})
-        code = main(["region", "--config", cfg])
-        assert code == 2
-        assert "sweep.n_points must be an integer" in capsys.readouterr().err
 
     def test_integral_floats_accepted(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"mc": {"n_symbols": 2e5, "seed": 7.0},
@@ -428,18 +353,6 @@ class TestConfigHandling:
         assert out["mc"]["n_symbols"] == 200000
         assert out["mc"]["seed"] == 7
         assert out["sweep"]["n_points"] == 11
-
-    def test_negative_quartic_weight_in_config(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {"channel": {"k4": -1.0}})
-        code = main(["region", "--config", cfg])
-        assert code == 2
-        assert "k4 must be nonnegative" in capsys.readouterr().err
-
-    def test_negative_quadratic_weight_in_config(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {"channel": {"k2": -0.1}})
-        code = main(["region", "--config", cfg])
-        assert code == 2
-        assert "k2 must be nonnegative" in capsys.readouterr().err
 
     def test_channel_override_in_config(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"channel": {"h": [2.0, 0.0]}})
@@ -453,43 +366,72 @@ PROFILE = {"mu_r": 0.0, "mu_i": 0.0, "P_r": 1.0, "P_i": 1.0,
 POINTS = [[1.0, 0.0], [-1.0, 0.0]]
 
 
-@pytest.mark.parametrize("flag, document, field", [
-    ("--config", {"channel": {"sigma_w2": "x"}}, "config.channel.sigma_w2"),
-    ("--config", {"channel": {"k2": None}}, "config.channel.k2"),
-    ("--config", {"channel": []}, "config.channel"),
-    ("--config", {"P_a": [1]}, "config.P_a"),
-    ("--config", {"mc": None}, "config.mc"),
-    ("--config", {"mc": {"seed": [1]}}, "config.mc.seed"),
-    ("--config", {"mc": {"seed": True}}, "config.mc.seed"),
-    ("--config", {"mc": {"seed": -1}}, "seed"),
-    ("--config", {"targets": 70}, "config.targets"),
-    ("--config", {"output": {"path": 3}}, "config.output.path"),
-    ("--config", [1, 2], "config"),
-    ("--profile", {**PROFILE, "mu_r": [1]}, "profile.mu_r"),
-    ("--dist", {"kind": "constellation", "points": POINTS, "probs": 5},
+def _profile(mu_r=0, mu_i=0, P_r=0, P_i=0, T_r=0, T_i=0, Q_r=0, Q_i=0):
+    return {"mu_r": mu_r, "mu_i": mu_i, "P_r": P_r, "P_i": P_i,
+            "T_r": T_r, "T_i": T_i, "Q_r": Q_r, "Q_i": Q_i}
+
+
+@pytest.mark.parametrize("argv, text", [
+    *((["series-verify", "--n-terms", "500", f"--tol={tol}"], "error: tol must be finite")
+      for tol in ("nan", "inf", "-1")),
+    (["power-eval", "--profile", json.dumps(_profile(P_r=1, P_i=1, Q_r=0.5, Q_i=3))], "Jensen"),
+    (["power-eval", "--profile", json.dumps(_profile(P_r=1, P_i=1, T_r=100, Q_r=1, Q_i=1))],
+     "error: moment violation"),
+    (["power-eval", "--profile", {**PROFILE, "mu_r": [1]}], "profile.mu_r"),
+    (["power-eval", "--profile", {**PROFILE, "Q_i": 10**400}],
+     "profile.Q_i is out of range, got 1000"),
+    (["power-eval", "--dist", {"kind": "constellation", "points": POINTS, "probs": 5}],
      "distribution.probs"),
-    # a 400-digit JSON integer is no float
-    ("--config", {"P_a": 10**400}, "config.P_a is out of range, got 1000"),
-    ("--config", {"channel": {"h": [10**400, 0.0]}},
-     "config.channel.h[0] is out of range, got 1000"),
-    ("--profile", {**PROFILE, "Q_i": 10**400}, "profile.Q_i is out of range, got 1000"),
-    ("--dist", {"kind": "constellation", "points": POINTS, "probs": [10**400, 1.0]},
+    (["power-eval", "--dist",
+      {"kind": "constellation", "points": POINTS, "probs": [10**400, 1.0]}],
      "distribution.probs[0] is out of range, got 1000"),
-    ("--config", {"output": {"format": "xml"}}, "output format must be json or csv, got 'xml'"),
-    ("--dist", [1], "distribution spec must be an object with a 'kind' key"),
-    ("--dist", {}, "distribution spec must be an object with a 'kind' key"),
+    (["power-eval", "--dist", [1]], "distribution spec must be an object with a 'kind' key"),
+    (["power-eval", "--dist", {}], "distribution spec must be an object with a 'kind' key"),
+    # passes config resolution; the estimator rejects it
+    (["mc-validate", "--config", {"mc": {**SMALL_MC["mc"], "oversample": 1}}], "error: "),
+    (["mc-validate", "--config", {"mc": {"seed": 1.9}}], "mc.seed must be an integer"),
+    (["region", "--config", b"{not json"], "not valid JSON"),
+    (["region", "--config", "/nonexistent/config.json"], "cannot read config"),
+    (["region", "--seed", "-3", "--dump-config"], "seed"),
+    (["region", "--n-points", "3", "--target", "nan"], "targets must be finite"),
+    *((["region", "--config", document], text) for document, text in [
+        ({"bandwidth": 2.0}, "unknown config keys"),
+        ({"P_a": float("inf")}, "P_a must be positive and finite"),
+        ({"sweep": {"n_points": 10.5}}, "sweep.n_points must be an integer"),
+        ({"channel": {"k4": -1.0}}, "k4 must be nonnegative"),
+        ({"channel": {"k2": -0.1}}, "k2 must be nonnegative"),
+        ({"channel": {"sigma_w2": "x"}}, "config.channel.sigma_w2"),
+        ({"channel": {"k2": None}}, "config.channel.k2"),
+        ({"channel": []}, "config.channel"),
+        ({"P_a": [1]}, "config.P_a"),
+        ({"mc": None}, "config.mc"),
+        ({"mc": {"seed": [1]}}, "config.mc.seed"),
+        ({"mc": {"seed": True}}, "config.mc.seed"),
+        ({"mc": {"seed": -1}}, "seed"),
+        ({"targets": 70}, "config.targets"),
+        ({"output": {"path": 3}}, "config.output.path"),
+        ([1, 2], "config"),
+        # a 400-digit JSON integer is no float
+        ({"P_a": 10**400}, "config.P_a is out of range, got 1000"),
+        ({"channel": {"h": [10**400, 0.0]}}, "config.channel.h[0] is out of range, got 1000"),
+        ({"output": {"format": "xml"}}, "output format must be json or csv, got 'xml'"),
+    ]),
 ])
-def test_malformed_input_is_a_config_error(tmp_path, capsys, flag, document, field):
-    """Each malformed value exits 2 with one line naming its field, not a
-    traceback."""
-    command = "region" if flag == "--config" else "power-eval"
-    code = main([command, flag, write_config(tmp_path, document)])
+def test_malformed_input_is_a_config_error(tmp_path, capsys, argv, text):
+    """Each malformed input, whether a value, a file or a flag, exits 2
+    with nothing on stdout and one error line holding its text, not a
+    traceback.  A row's non-string argument is a file: bytes as they are,
+    any other value as JSON."""
+    def argument(item):
+        if isinstance(item, str):
+            return item
+        path = tmp_path / "input"
+        path.write_bytes(item if isinstance(item, bytes) else json.dumps(item).encode())
+        return str(path)
+
+    code = main([argument(item) for item in argv])
     captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err.startswith("error: ")
-    assert field in captured.err
-    assert "Traceback" not in captured.err
+    assert text in _error_line(code, captured.out, captured.err)
 
 
 def test_integer_output_path_writes_to_no_descriptor(tmp_path, capsys):
@@ -531,21 +473,12 @@ def test_unwritable_output_path_is_a_config_error(tmp_path, capsys, where):
 def test_sizes_above_their_bound_are_rejected_before_allocating(capsys, argv, field):
     """Each size just above its documented bound exits 2 naming its field,
     with no more than 1 MB traced while doing so."""
-    was_tracing = tracemalloc.is_tracing()
-    if not was_tracing:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
+    with traced_memory() as memory:
         code = main(argv)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if not was_tracing:
-            tracemalloc.stop()
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith(f"error: {field} must be at most ")
-    assert peak < 1 << 20
+    assert memory.peak < 1 << 20
 
 
 def test_sizes_at_their_bound_are_accepted():
@@ -668,16 +601,9 @@ def test_non_finite_output_is_written_nowhere(tmp_path, fmt):
     error line, and leaves stdout and --out empty, in a fresh process."""
     out_path = tmp_path / "power.out"
     profile = dataclasses.asdict(gaussian_profile(0.0, 0.0, 1.0, 1.0))
-    base = [sys.executable, "-m", "swipt.cli", "power-eval",
-            "--profile", json.dumps({**profile, "Q_r": 1e308}), "--format", fmt]
+    argv = ["power-eval", "--profile", json.dumps({**profile, "Q_r": 1e308}), "--format", fmt]
     for extra in ([], ["--out", str(out_path)]):
-        proc = subprocess.run(base + extra, capture_output=True, text=True)
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
-        assert len(errors) == 1
-        assert "non-finite" in errors[0]
-        assert "Traceback" not in proc.stderr
+        assert "non-finite" in _error_line(*run_cli(*argv, *extra))
     assert not out_path.exists()
 
 
@@ -693,16 +619,14 @@ def test_budget_overflowing_the_delivered_power_is_a_config_error(document, code
     largest of any split, must be finite.  Past that, one error line names
     P_a, ahead of any numpy warning or a moment the overflow reaches first.
     A fresh process, where numpy's overflow would be a warning."""
-    proc = subprocess.run([sys.executable, "-m", "swipt.cli", "region", "--n-points", "3",
-                           "--target", "1", "--config", json.dumps(document)],
-                          capture_output=True, text=True)
-    assert proc.returncode == code
+    got, out, err = run_cli("region", "--n-points", "3", "--target", "1",
+                            "--config", json.dumps(document))
+    assert got == code
     if code == 0:
-        assert proc.stderr == ""
-        assert json.loads(proc.stdout)["targets"][0]["feasible"]
+        assert err == ""
+        assert json.loads(out)["targets"][0]["feasible"]
     else:
-        assert proc.stdout == ""
-        [line] = proc.stderr.splitlines()
+        line = _error_line(got, out, err)
         assert line.startswith("error: P_a = ")
         assert "overflows the delivered power" in line
 
@@ -710,13 +634,8 @@ def test_budget_overflowing_the_delivered_power_is_a_config_error(document, code
 def test_gain_squaring_past_the_float_range_is_a_config_error():
     """ChannelParams itself refuses such a gain, and the one error line names
     the gain, not P_a.  A fresh process, as in the budget test above."""
-    proc = subprocess.run([sys.executable, "-m", "swipt.cli", "region", "--n-points", "3",
-                           "--target", "1", "--config",
-                           json.dumps({"channel": {"h": 1e200}, "P_a": 1.0})],
-                          capture_output=True, text=True)
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    [line] = proc.stderr.splitlines()
+    line = _error_line(*run_cli("region", "--n-points", "3", "--target", "1", "--config",
+                                json.dumps({"channel": {"h": 1e200}, "P_a": 1.0})))
     assert line.startswith("error: channel field h overflows when squared")
 
 
@@ -724,12 +643,10 @@ def test_region_rate_below_the_float_epsilon():
     """At f_w = 1e20 every per-dimension SNR a*P is at most 2e-16, and each
     split's rate is f_w*a*P_a/(2 ln 2) to within 1e-16 relative.  A fresh
     process prints it within 1e-15 of the 50-digit rate at all three splits."""
-    proc = subprocess.run([sys.executable, "-m", "swipt.cli", "region", "--n-points", "3",
-                           "--format", "csv", "--config",
-                           json.dumps({"channel": {"f_w": 1e20}})],
-                          capture_output=True, text=True)
-    assert proc.returncode == 0 and proc.stderr == ""
-    header, *rows = proc.stdout.splitlines()
+    code, out, err = run_cli("region", "--n-points", "3", "--format", "csv", "--config",
+                             json.dumps({"channel": {"f_w": 1e20}}))
+    assert code == 0 and err == ""
+    header, *rows = out.splitlines()
     assert header == "P_r,P_i,rate_bits,delivered_power"
     assert len(rows) == 3
     ch = ChannelParams(f_w=1e20)
@@ -744,12 +661,10 @@ def test_region_lambda2_keeps_its_digits_at_low_snr():
     marginal rates' gap is below their rounding: a fresh process prints the
     50-digit lambda2 rounded to a float, 2511874.3633680237 (subtracting
     the two rounded rates printed 2511873.6542622154)."""
-    proc = subprocess.run([sys.executable, "-m", "swipt.cli", "region", "--n-points", "2",
-                           "--target", "6.842346657435001e-13", "--config",
-                           json.dumps({"channel": {"f_w": 1e14}})],
-                          capture_output=True, text=True)
-    assert proc.returncode == 0 and proc.stderr == ""
-    assert '        "lambda2": 2511874.3633680237,' in proc.stdout.splitlines()
+    code, out, err = run_cli("region", "--n-points", "2", "--target", "6.842346657435001e-13",
+                             "--config", json.dumps({"channel": {"f_w": 1e14}}))
+    assert code == 0 and err == ""
+    assert '        "lambda2": 2511874.3633680237,' in out.splitlines()
 
 
 def test_power_eval_keeps_each_channels_signed_zeros():
@@ -799,12 +714,7 @@ def test_degenerate_estimate_or_slope_exits_2(argv):
     2|h|^2/(f_w*sigma_w2) is not finite or whose rate at a finite slope
     overflows, exit 2 with one error line and nothing on stdout.  A fresh
     process, so a traceback or a numpy warning would show."""
-    proc = subprocess.run([sys.executable, "-m", "swipt.cli", *argv],
-                          capture_output=True, text=True)
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    [line] = proc.stderr.splitlines()
-    assert line.startswith("error: ")
+    _error_line(*run_cli(*argv))
 
 
 @pytest.mark.parametrize("name", _SLOPE_CHANNELS)
@@ -831,11 +741,8 @@ def test_distribution_whose_moments_overflow_is_a_config_error(command, spec, mo
     """A distribution whose moments pass the float range (a point at 1e80, a
     mean of 1e200) exits 2 with one error line naming the first such moment
     and nothing on stdout.  A fresh process, so that a traceback would show."""
-    proc = subprocess.run([sys.executable, "-m", "swipt.cli", command, "--dist", spec],
-                          capture_output=True, text=True)
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert proc.stderr == f"error: moment {moment} must be finite, got inf\n"
+    assert run_cli(command, "--dist", spec) == (
+        2, "", f"error: moment {moment} must be finite, got inf\n")
 
 
 # Finite distribution fields of any size up to 1e300.
@@ -863,10 +770,7 @@ def test_power_eval_of_any_finite_distribution_exits_0_or_2(spec):
 
 def _power_eval(flag, document):
     """power-eval in a fresh process: exit code, stdout and stderr."""
-    proc = subprocess.run([sys.executable, "-m", "swipt.cli", "power-eval", flag,
-                           json.dumps(document), "--format", "csv"],
-                          capture_output=True, text=True)
-    return proc.returncode, proc.stdout, proc.stderr
+    return run_cli("power-eval", flag, json.dumps(document), "--format", "csv")
 
 
 def _p_del(flag, document):
@@ -874,18 +778,11 @@ def _p_del(flag, document):
     return json.loads(_run_main(["power-eval", flag, json.dumps(document)]))["P_del"]
 
 
-def _profile(mu_r=0, mu_i=0, P_r=0, P_i=0, T_r=0, T_i=0, Q_r=0, Q_i=0):
-    return {"mu_r": mu_r, "mu_i": mu_i, "P_r": P_r, "P_i": P_i,
-            "T_r": T_r, "T_i": T_i, "Q_r": Q_r, "Q_i": Q_i}
-
-
 def test_profile_whose_hankel_terms_overflow_exits_2():
     """T_r^2 = 1e500 exceeds P_r*Q_r = 1e400, though both overflow: exit 2
     with one error line and nothing on stdout.  T_r = 1e200 with
     Q_r = 1e301 is a valid profile, and its digits do not change."""
-    code, out, err = _power_eval("--profile", _profile(P_r=1e100, T_r=1e250, Q_r=1e300))
-    assert (code, out) == (2, "")
-    [line] = err.splitlines()
+    line = _error_line(*_power_eval("--profile", _profile(P_r=1e100, T_r=1e250, Q_r=1e300)))
     assert line.startswith("error: moment violation: Hankel determinant in dimension r")
     valid = _profile(P_r=1e100, T_r=1e200, Q_r=1e301)
     assert repr(_p_del("--profile", valid)) == "1.9145000000000002e+302"
@@ -896,9 +793,7 @@ def test_profile_whose_part_has_zero_power_must_be_the_point_zero():
     exits 2 with one error line naming the dimension.  Point masses, and
     the float profile of a rare far point that lifts Q_r above P_r^2 = 1,
     keep their digits."""
-    code, out, err = _power_eval("--profile", _profile(P_i=1, Q_r=5, Q_i=3))
-    assert (code, out) == (2, "")
-    [line] = err.splitlines()
+    line = _error_line(*_power_eval("--profile", _profile(P_i=1, Q_r=5, Q_i=3)))
     assert line.startswith("error: moment violation: P_r = 0 makes dimension r the point 0")
     assert repr(_p_del("--profile", _profile(2, 0, 4, 0, 8, 0, 16, 0))) == "460.93191357435"
     point_mass = {"kind": "gaussian", "mu_r": 1.0}

@@ -27,6 +27,8 @@ import sympy as sp
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from _support import CHANNEL_FIELDS, LOG_BUDGETS, log_uniform
+
 from swipt.moments import GaussianZeroMean
 from swipt.rectenna import ChannelParams, _gaussian_power, coeffs
 from swipt.tradeoff import (
@@ -99,20 +101,13 @@ def test_time_sharing_adds_nothing():
     assert closed.subs(above_p_i).is_nonpositive
 
 
-def _log_uniform(lo, hi):
-    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
-
-
-def _gain():
-    return st.builds(lambda m, phase: m * cmath.exp(1j * phase),
-                     _log_uniform(1e-3, 1e3), st.floats(0.0, 2.0 * math.pi))
+_GAIN = st.builds(lambda m, phase: m * cmath.exp(1j * phase),
+                  log_uniform(1e-3, 1e3), st.floats(0.0, 2.0 * math.pi))
 
 
 @seed(0xb8705f0c87c2d8cc4072ec6729aa3ad1db6d3fa27c5bb1688e47e168ff817fa239973f9ddc92359760aa108015c42d71)
 @settings(max_examples=300)
-@given(h=_gain(), h_tilde=_gain(), sigma_w2=_log_uniform(1e-12, 1e2),
-       f_w=_log_uniform(1e-3, 1e15), k2=_log_uniform(1e-4, 1e2),
-       k4=_log_uniform(1e-4, 1e4), P_a=_log_uniform(1e-6, 1e6),
+@given(**CHANNEL_FIELDS | {"h": _GAIN, "h_tilde": _GAIN}, P_a=LOG_BUDGETS,
        share=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
 def test_lambda2_is_the_inverse_frontier_slope(h, h_tilde, sigma_w2, f_w, k2, k4, P_a,
                                                share):

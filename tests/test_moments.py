@@ -32,6 +32,7 @@ from swipt.moments import (
 from swipt.rectenna import ChannelParams, delivered_power
 from swipt.simulate import _DOM_SYMBOLS, _draw, closed_form_delivered_power
 
+from _support import log_uniform
 from oracles import (
     constellation_profile,
     derived_moments_exact,
@@ -373,14 +374,10 @@ class TestConstellationMoments:
         assert bits(profile_of(dist)) == bits(constellation_profile(dist))
 
 
-def _log_uniform(lo, hi):
-    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
-
-
 # a part value or mean: magnitude log-uniform in 1e-3..1e3, either sign
-_SIGNED = st.tuples(_log_uniform(1e-3, 1e3), st.booleans()).map(
+_SIGNED = st.tuples(log_uniform(1e-3, 1e3), st.booleans()).map(
     lambda draw: -draw[0] if draw[1] else draw[0])
-_VARIANCES = _log_uniform(1e-6, 1e6)
+_VARIANCES = log_uniform(1e-6, 1e6)
 
 
 def _constellation(symbols):

@@ -8,13 +8,13 @@ oracles.py, and against the analytic limits as the truncation window grows.
 
 import dataclasses
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
 from swipt.series import _s_first, _window_sums, verify
 
+from _support import traced_memory
 from oracles import (
     SERIES_IDS,
     brute_force_double_sum,
@@ -204,15 +204,6 @@ class TestTwoArraySums:
         s^4 formed over them in place."""
         n = 1_000_000
         _window_sums(1000)  # first-call set-up
-        was_tracing = tracemalloc.is_tracing()
-        if not was_tracing:
-            tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
+        with traced_memory() as memory:
             _window_sums(n)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            if not was_tracing:
-                tracemalloc.stop()
-        assert peak <= 17 * n
+        assert memory.peak <= 17 * n

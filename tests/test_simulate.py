@@ -13,7 +13,6 @@ import subprocess
 import sys
 import textwrap
 import threading
-import tracemalloc
 import warnings
 from collections import Counter
 
@@ -55,6 +54,7 @@ from swipt.simulate import (
 
 from swipt.tradeoff import rp_region
 
+from _support import traced_memory
 from oracles import (
     draw_per_block,
     fourth_moment_even,
@@ -719,28 +719,15 @@ class TestMemory:
 
     N = 100_000
 
-    @staticmethod
-    def _traced_peak(run):
-        was_tracing = tracemalloc.is_tracing()
-        if not was_tracing:
-            tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            run()
-            return tracemalloc.get_traced_memory()[1] - base
-        finally:
-            if not was_tracing:
-                tracemalloc.stop()
-
     def test_kernel_peak_per_tap(self):
         """_kernel(499 000) peaks at no more than 16 B of traced memory per
         tap (measured 12; 40 from index arrays and a sign table): the
         window + 1 taps it mirrors, and the kernel."""
         window = 499_000
         _kernel(16)  # first-call set-up
-        peak = self._traced_peak(lambda: _kernel(window))
-        assert peak <= 16 * (2 * window + 1)
+        with traced_memory() as memory:
+            _kernel(window)
+        assert memory.peak <= 16 * (2 * window + 1)
 
     @pytest.mark.parametrize("oversample", [8, 32])
     def test_oversampled_peak_is_independent_of_oversample(self, oversample):
@@ -749,9 +736,9 @@ class TestMemory:
         the n*oversample grid and the 2n-point spectrum are never built."""
         dist = GaussianZeroMean(0.5, 0.5)
         mc_delivered_power(dist, CH, 2000, oversample, SEED)  # imports and caches
-        peak = self._traced_peak(
-            lambda: mc_delivered_power(dist, CH, self.N, oversample, SEED))
-        assert peak <= 4 * 16 * self.N
+        with traced_memory() as memory:
+            mc_delivered_power(dist, CH, self.N, oversample, SEED)
+        assert memory.peak <= 4 * 16 * self.N
 
     def test_half_rate_peak(self):
         """A half-rate run peaks at no more than 4 arrays (measured 3.72):
@@ -760,9 +747,9 @@ class TestMemory:
         whole-sequence transform."""
         dist = GaussianZeroMean(0.5, 0.5)
         mc_delivered_power(dist, CH, 2000, 2, SEED, estimator="half_rate")
-        peak = self._traced_peak(
-            lambda: mc_delivered_power(dist, CH, self.N, 2, SEED, estimator="half_rate"))
-        assert peak <= 4 * 16 * self.N
+        with traced_memory() as memory:
+            mc_delivered_power(dist, CH, self.N, 2, SEED, estimator="half_rate")
+        assert memory.peak <= 4 * 16 * self.N
 
     def test_no_kernel_spectrum_retained(self):
         """At n = 20 000 and window 5000 the mid-samples take one
@@ -770,17 +757,9 @@ class TestMemory:
         nor of the 10001-tap kernel, is held once the call returns."""
         dist = GaussianZeroMean(0.5, 0.5)
         mc_delivered_power(dist, CH, 2000, 8, SEED, window=16)  # imports
-        was_tracing = tracemalloc.is_tracing()
-        if not was_tracing:
-            tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
+        with traced_memory() as memory:
             mc_delivered_power(dist, CH, 20_000, 8, SEED, window=5000)
-            retained = tracemalloc.get_traced_memory()[0] - base
-        finally:
-            if not was_tracing:
-                tracemalloc.stop()
-        assert retained <= 16 * 1024
+        assert memory.held <= 16 * 1024
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
                         reason="reads the resident high-water mark from /proc")

@@ -6,7 +6,6 @@ anchors were frozen from a 1e-6-step grid search run separately.
 
 import json
 import math
-import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -31,6 +30,7 @@ from swipt.tradeoff import (
     rp_region,
 )
 
+from _support import CHANNEL_FIELDS, LOG_BUDGETS, traced_memory
 from oracles import kkt_check_nnls, lambda2_mp, power_mp, rate_mp, rp_region_fresh
 
 
@@ -217,19 +217,10 @@ class TestRegion:
         n = 100_000
         rp_region(1.0, CH, n)  # imports and first-call set-up
         rp_region(1.0, CH, 2)  # a small grid at another key: the next sweep misses
-        was_tracing = tracemalloc.is_tracing()
-        if not was_tracing:
-            tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
+        with traced_memory() as memory:
             pts = rp_region(1.0, CH, n)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            if not was_tracing:
-                tracemalloc.stop()
         assert len(pts) == n
-        assert peak <= 256 * n
+        assert memory.peak <= 256 * n
 
     def test_repeated_sweep_holds_per_point(self):
         """After one 1e4-point sweep at a budget, a sweep of another channel
@@ -239,18 +230,10 @@ class TestRegion:
         Its P_r and P_i are the first sweep's floats."""
         n = 10_000
         first = rp_region(1.0, CH, n)
-        was_tracing = tracemalloc.is_tracing()
-        if not was_tracing:
-            tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
+        with traced_memory() as memory:
             pts = rp_region(1.0, linear_channel(), n)
-            held = tracemalloc.get_traced_memory()[0] - base
-        finally:
-            if not was_tracing:
-                tracemalloc.stop()
         assert all(p.P_r is q.P_r and p.P_i is q.P_i for p, q in zip(pts, first))
-        assert held <= 145 * n
+        assert memory.held <= 145 * n
 
     def test_sweeps_at_one_key_share_their_splits(self):
         """The key is (P_a, n_points) after the budget and size rules, so
@@ -280,16 +263,9 @@ class TestRegion:
         assert all(p.P_i is q.P_i for p, q in zip(again, first))
 
 
-def log_uniform(lo, hi):
-    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
-
-
 @seed(0x8f037b6cdb868fb41fed6390556f464614dde56407719730e9a8b41bc9dc14dde274a51f5a29c0354b705c6a28353a7b)
 @settings(max_examples=300)
-@given(h=log_uniform(1e-3, 1e3), h_tilde=log_uniform(1e-3, 1e3),
-       sigma_w2=log_uniform(1e-12, 1e2), f_w=log_uniform(1e-3, 1e15),
-       k2=log_uniform(1e-4, 1e2), k4=log_uniform(1e-4, 1e4),
-       P_a=log_uniform(1e-6, 1e6), n_points=st.integers(2, 41))
+@given(**CHANNEL_FIELDS, P_a=LOG_BUDGETS, n_points=st.integers(2, 41))
 @example(h=1.0, h_tilde=1.0, sigma_w2=1e-4, f_w=1e12, k2=0.17, k4=19.145,
          P_a=1.0, n_points=3)
 @example(h=1.0, h_tilde=1.0, sigma_w2=1e-4, f_w=1e16, k2=0.17, k4=19.145,
@@ -319,10 +295,7 @@ def test_frontier_rate_matches_50_digit_oracle(h, h_tilde, sigma_w2, f_w, k2, k4
 
 @seed(0x395c2393256a69e5b97aa73252de1dfe827d120aada7f597a8b02d0756f8578b8c45e26c1cec9d0ec240f4407384422d)
 @settings(max_examples=300)
-@given(h=log_uniform(1e-3, 1e3), h_tilde=log_uniform(1e-3, 1e3),
-       sigma_w2=log_uniform(1e-12, 1e2), f_w=log_uniform(1e-3, 1e15),
-       k2=log_uniform(1e-4, 1e2), k4=log_uniform(1e-4, 1e4),
-       P_a=log_uniform(1e-6, 1e6), split=st.floats(0.0, 1.0))
+@given(**CHANNEL_FIELDS, P_a=LOG_BUDGETS, split=st.floats(0.0, 1.0))
 def test_frontier_power_matches_50_digit_oracle(h, h_tilde, sigma_w2, f_w, k2, k4,
                                                 P_a, split):
     """Over the rate property's channels and budgets, pdc_min, pdc_max and
@@ -343,10 +316,7 @@ def test_frontier_power_matches_50_digit_oracle(h, h_tilde, sigma_w2, f_w, k2, k
 
 @seed(0xd6636089cc1e1aa174f2ee2f887850c3285df2773996512855084f4f1075505d6c3a804e6ddb87cd6f4ff6dee0a0d66b)
 @settings(max_examples=300)
-@given(h=log_uniform(1e-3, 1e3), h_tilde=log_uniform(1e-3, 1e3),
-       sigma_w2=log_uniform(1e-12, 1e2), f_w=log_uniform(1e-3, 1e15),
-       k2=log_uniform(1e-4, 1e2), k4=log_uniform(1e-4, 1e4),
-       P_a=log_uniform(1e-6, 1e6), share=st.floats(0.0, 1.0))
+@given(**CHANNEL_FIELDS, P_a=LOG_BUDGETS, share=st.floats(0.0, 1.0))
 @example(h=1.0, h_tilde=1.0, sigma_w2=1e-4, f_w=1e14, k2=0.17, k4=19.145,
          P_a=1.0, share=0.37)
 def test_kkt_lambda2_matches_50_digit_oracle(h, h_tilde, sigma_w2, f_w, k2, k4, P_a,
@@ -373,10 +343,8 @@ def test_kkt_lambda2_matches_50_digit_oracle(h, h_tilde, sigma_w2, f_w, k2, k4, 
 
 @seed(0x57d86c69a43913d0837aeefaf483412046655327545e54f13b86e683c057b47e3a989fe066119ad0ea969452526eda09)
 @settings(max_examples=300)
-@given(h=log_uniform(1e-3, 1e3), h_tilde=log_uniform(1e-3, 1e3),
-       sigma_w2=log_uniform(1e-12, 1e2), f_w=log_uniform(1e-3, 1e15),
-       k2=log_uniform(1e-4, 1e2), k4=log_uniform(1e-4, 1e4),
-       P_a=log_uniform(1e-6, 1e6), share=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+@given(**CHANNEL_FIELDS, P_a=LOG_BUDGETS,
+       share=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
 def test_allocation_root_matches_50_digit_oracle(h, h_tilde, sigma_w2, f_w, k2, k4, P_a,
                                                  share):
     """Over the rate property's channels and budgets, at a target a drawn
@@ -394,17 +362,14 @@ def test_allocation_root_matches_50_digit_oracle(h, h_tilde, sigma_w2, f_w, k2, 
     assert abs(power_mp(alloc.P_r, alloc.P_i, ch) - target) <= 8 * 2.0**-52 * high
 
 
-_CHANNELS = st.builds(
-    ChannelParams, h=log_uniform(1e-3, 1e3), h_tilde=log_uniform(1e-3, 1e3),
-    sigma_w2=log_uniform(1e-12, 1e2), f_w=log_uniform(1e-3, 1e15),
-    k2=log_uniform(1e-4, 1e2), k4=log_uniform(1e-4, 1e4))
+_CHANNELS = st.builds(ChannelParams, **CHANNEL_FIELDS)
 # a*P overflows from P_a of about 9 up: the rate rule rejects those sweeps
 _RATE_OVERFLOW = ChannelParams(sigma_w2=1e-307)
 
 
 @seed(0xf4d58ec023b20a5b74aab3380f11fe44b54d77511ef503543a9dc27ac983deee651e4ee73cd6f49b667d64b54b73f23c)
 @settings(max_examples=200)
-@given(keys=st.lists(st.tuples(log_uniform(1e-6, 1e6), st.integers(2, 300)),
+@given(keys=st.lists(st.tuples(LOG_BUDGETS, st.integers(2, 300)),
                      min_size=1, max_size=3),
        steps=st.lists(st.tuples(st.integers(0, 2), _CHANNELS | st.just(_RATE_OVERFLOW)),
                       min_size=2, max_size=6))
