@@ -1,22 +1,27 @@
-"""The sweep as the boundary of the zero-mean, independent-parts inner bound.
+"""The sweep as the boundary of the paper's Gaussian inner bound.
 
 rp_region lists zero-mean Gaussian inputs with independent parts on the
 full-budget line P_r + P_i = P_a, and draws no time-sharing between them.
-Two reductions show that nothing off that curve does better, each derived
-here in sympy from the package's own power quadratic
-(rectenna._gaussian_power, called on symbols) and the rate
-0.5*f_w*(log2(1 + a*P_r) + log2(1 + a*P_i)):
+Three reductions show that nothing off that curve does better, each derived
+here in sympy from the package's own formulas: the power quadratic
+(rectenna._gaussian_power, called on symbols), derived_moments and the
+rate 0.5*f_w*(log2(1 + a*P_r) + log2(1 + a*P_i)):
 
 * full budget: the delivered power and the rate both increase in each
   per-dimension power, so a split below the budget is dominated;
 * no time-sharing: along the budget line dP/dR has a closed form whose
   magnitude grows toward the even split, so P(R) is concave and a mix of
-  two points lies on or below the curve.
+  two points lies on or below the curve;
+* zero mean: at a fixed per-dimension power P a mean mu lowers both, the
+  fourth moments Q = Q_tilde by 2*mu^4 and the rate, a Gaussian part's
+  0.5*f_w*log2(1 + a*(P - mu^2)), in mu^2.  kkt_check's stationarity rows
+  are that rate's derivatives.
 
-A third check ties the solver to the frontier: kkt_check's power
+One identity ties the solver to the frontier: kkt_check's power
 multiplier lambda2 is -dR/dP at the solved split, so it times the chord
-slope |dP/dR| of the frontier there is 1.  Zero mean and correlated parts,
-the other two reductions to the paper's inner bound, are not shown here.
+slope |dP/dR| of the frontier there is 1.  Correlated parts, the last
+reduction to the paper's inner bound, need the joint moments of ROADMAP
+item 1 and are not shown here.
 """
 
 import cmath
@@ -27,9 +32,7 @@ import sympy as sp
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from _support import CHANNEL_FIELDS, LOG_BUDGETS, log_uniform
-
-from swipt.moments import GaussianZeroMean
+from swipt.moments import GaussianZeroMean, derived_moments
 from swipt.rectenna import ChannelParams, _gaussian_power, coeffs
 from swipt.tradeoff import (
     _snr_gain,
@@ -39,6 +42,8 @@ from swipt.tradeoff import (
     pdc_min,
     rate_gaussian,
 )
+
+from _support import CHANNEL_FIELDS, LOG_BUDGETS, log_uniform
 
 P_r, P_i, P_a, a, f_w = sp.symbols("P_r P_i P_a a f_w", positive=True)
 alpha, alpha_t, beta, beta_t, gamma = sp.symbols(
@@ -99,6 +104,58 @@ def test_time_sharing_adds_nothing():
               / (f_w**2 * a**2))
     assert sp.simplify(curvature - closed) == 0
     assert closed.subs(above_p_i).is_nonpositive
+
+
+def test_gaussian_power_closed_form_symbolic():
+    """kkt_check's closed form, from the package's own derived_moments and
+    q_tilde fed symbolic Gaussian moments: a part with mean mu and power
+    P = mu^2 + v has T = mu^3 + 3*mu*v and Q = mu^4 + 6*mu^2*v + 3*v^2, so
+    Q = Q_tilde = 3*(P_r^2 + P_i^2) + 2*P_r*P_i - 2*(mu_r^4 + mu_i^4), whose
+    slope in the mean at fixed P is -8*mu^3: the power half of the paper's
+    zero-mean claim.  nsimplify reads the code's float literals (2.0, 6.0,
+    /3.0) as the rationals they stand for, so each difference is exactly 0."""
+    mu_r, mu_i, P_r, P_i = sp.symbols("mu_r mu_i P_r P_i", real=True)
+
+    def third_fourth(mu, P):
+        v = P - mu**2
+        return mu**3 + 3 * mu * v, mu**4 + 6 * mu**2 * v + 3 * v**2
+
+    (T_r, Q_r), (T_i, Q_i) = third_fourth(mu_r, P_r), third_fourth(mu_i, P_i)
+    d = derived_moments(SimpleNamespace(mu_r=mu_r, mu_i=mu_i, P_r=P_r, P_i=P_i,
+                                        T_r=T_r, T_i=T_i, Q_r=Q_r, Q_i=Q_i))
+    closed = 3 * (P_r**2 + P_i**2) + 2 * P_r * P_i - 2 * (mu_r**4 + mu_i**4)
+    assert sp.expand(d.P - (P_r + P_i)) == 0
+    for fourth in (sp.nsimplify(d.Q), sp.nsimplify(d.Q_tilde)):
+        assert sp.expand(fourth - closed) == 0
+        assert sp.expand(sp.diff(fourth, mu_r) + 8 * mu_r**3) == 0
+
+
+def test_a_mean_lowers_the_rate():
+    """A Gaussian part of power P and mean mu carries
+    R = 0.5*f_w*log2(1 + a*(P - mu^2)).  dR/dP = f_w*a/(2 ln 2 (1 + a*var))
+    is positive and dR/dmu = -2*mu*dR/dP, so at a fixed P the rate falls in
+    mu^2: the rate half of the paper's zero-mean claim.  Where the budget
+    is slack every multiplier of kkt_check is 0, so its P_r row is dR/dP_r
+    and its mu_r row is -dR/dmu_r.  On a complex-gain channel at
+    P = (0.3, 0.2), P_a = 1 and mu_r = 0 and 0.1, both rows, and the values
+    first measured for them, are the 50-digit derivatives to 1e-14
+    relative."""
+    P, mu = sp.symbols("P mu", real=True)
+    rate = f_w / 2 * sp.log(1 + a * (P - mu**2)) / sp.log(2)
+    d_P, d_mu = sp.diff(rate, P), sp.diff(rate, mu)
+    assert sp.simplify(d_P - f_w * a / (2 * sp.log(2) * (1 + a * (P - mu**2)))) == 0
+    assert d_P.subs(P, sp.Symbol("var", nonnegative=True) + mu**2).is_positive
+    assert sp.simplify(d_mu + 2 * mu * d_P) == 0
+    ch = ChannelParams(h=0.8 + 0.6j, sigma_w2=0.05, f_w=2.5)
+    for mu_r, measured in ((0.0, (4.974810485824012, 0.0)),
+                           (0.1, (5.115939861308381, 1.0231879722616763))):
+        report = kkt_check(GaussianZeroMean(0.3, 0.2), mu_r, 0.0, 1.0, 0.0, ch)
+        at = {a: _snr_gain(ch), f_w: ch.f_w, P: 0.3, mu: mu_r}
+        exact = [float(d.evalf(50, subs={k: sp.Float(v, 50) for k, v in at.items()}))
+                 for d in (d_P, -d_mu)]
+        got = (report.stationarity_residual_Pr, report.stationarity_residual_mu_r)
+        for value, want in (*zip(got, exact), *zip(measured, exact)):
+            assert abs(value - want) <= 1e-14 * abs(want)
 
 
 _GAIN = st.builds(lambda m, phase: m * cmath.exp(1j * phase),

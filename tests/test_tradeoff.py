@@ -7,7 +7,6 @@ anchors were frozen from a 1e-6-step grid search run separately.
 import json
 import math
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,7 +15,7 @@ from hypothesis import strategies as st
 
 from swipt import tradeoff
 from swipt.cli import main
-from swipt.moments import GaussianZeroMean, derived_moments, gaussian_profile
+from swipt.moments import GaussianZeroMean, gaussian_profile
 from swipt.rectenna import ChannelParams, _gaussian_power, coeffs, delivered_power
 from swipt.tradeoff import (
     Infeasible,
@@ -685,31 +684,6 @@ def test_kkt_check_on_tight_points_reports_finite_numbers_or_raises(P_r, P_i, k2
         except ValueError:
             return
     assert all(math.isfinite(x) for x in report[:-1])
-
-
-def test_gaussian_power_closed_form_symbolic():
-    """kkt_check's closed form, from the package's own derived_moments and
-    q_tilde fed symbolic Gaussian moments: a part with mean mu and power
-    P = mu^2 + v has T = mu^3 + 3*mu*v and Q = mu^4 + 6*mu^2*v + 3*v^2, so
-    Q = Q_tilde = 3*(P_r^2 + P_i^2) + 2*P_r*P_i - 2*(mu_r^4 + mu_i^4), whose
-    slope in the mean at fixed P is -8*mu^3: the power half of the paper's
-    zero-mean claim.  nsimplify reads the code's float literals (2.0, 6.0,
-    /3.0) as the rationals they stand for, so each difference is exactly 0."""
-    sp = pytest.importorskip("sympy")
-    mu_r, mu_i, P_r, P_i = sp.symbols("mu_r mu_i P_r P_i", real=True)
-
-    def third_fourth(mu, P):
-        v = P - mu**2
-        return mu**3 + 3 * mu * v, mu**4 + 6 * mu**2 * v + 3 * v**2
-
-    (T_r, Q_r), (T_i, Q_i) = third_fourth(mu_r, P_r), third_fourth(mu_i, P_i)
-    d = derived_moments(SimpleNamespace(mu_r=mu_r, mu_i=mu_i, P_r=P_r, P_i=P_i,
-                                        T_r=T_r, T_i=T_i, Q_r=Q_r, Q_i=Q_i))
-    closed = 3 * (P_r**2 + P_i**2) + 2 * P_r * P_i - 2 * (mu_r**4 + mu_i**4)
-    assert sp.expand(d.P - (P_r + P_i)) == 0
-    for fourth in (sp.nsimplify(d.Q), sp.nsimplify(d.Q_tilde)):
-        assert sp.expand(fourth - closed) == 0
-        assert sp.expand(sp.diff(fourth, mu_r) + 8 * mu_r**3) == 0
 
 
 @seed(0x9229b3d741c0717c51413b3d71fdb44a7ece2c2428d1027647aba403de210dd385d7d175d28c6322f32781bf64113774)
