@@ -19,6 +19,8 @@ coming back infinite.
 Sweeps at one budget and size share their P_r and P_i floats: see rp_region.
 Full budget: rate and power grow in each P_d.  No time-sharing: P(R) is
 concave, |dP/dR| growing toward the even split (tests/test_inner_bound.py).
+Wideband: as f_w grows at a fixed sigma_w2, every split's rate tends to
+|h|^2*P_a/(sigma_w2*ln 2), 14426.95 on the default channel: no tradeoff.
 """
 
 from __future__ import annotations

@@ -66,6 +66,21 @@ class TestRate:
     def test_zero_input_rate(self):
         assert rate_gaussian(GaussianZeroMean(0.0, 0.0), CH) == 0.0
 
+    @pytest.mark.parametrize("f_w", [1e10, 1e14])
+    def test_wideband_rates_tend_to_one_limit(self, f_w):
+        """x - x^2/2 <= ln(1 + x) <= x and P_r^2 + P_i^2 <= P_a^2, so every
+        split's rate lies in [L(1 - a*P_a/2), L], L = |h|^2*P_a/(sigma_w2 ln 2):
+        as f_w grows at a fixed sigma_w2, a = 2|h|^2/(f_w*sigma_w2) falls and
+        the tradeoff vanishes.  On the default channel L is 14426.95, and at
+        f_w = 1e10 the corner's rate sits at the lower bound, 0.0144 below it."""
+        ch, P_a = ChannelParams(f_w=f_w), 1.0
+        limit = abs(ch.h) ** 2 * P_a / (ch.sigma_w2 * math.log(2))
+        assert limit == pytest.approx(14426.95, abs=0.005)
+        a = 2.0 * abs(ch.h) ** 2 / (f_w * ch.sigma_w2)
+        low = limit * (1.0 - a * P_a / 2)
+        for pt in rp_region(P_a, ch, 101):
+            assert low * (1.0 - 1e-15) <= pt.rate <= limit * (1.0 + 1e-15)
+
 
 class TestEndpoints:
     """The endpoints are the frontier's array form at the even split and at
