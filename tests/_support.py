@@ -1,6 +1,6 @@
 """Helpers the test modules share: a traced-memory probe, a fresh-process
-CLI runner, the log-uniform Hypothesis strategy and the byte gates' fixture
-check."""
+CLI runner, the log-uniform Hypothesis strategies and the byte gates'
+fixture check."""
 
 import contextlib
 import math

@@ -2,9 +2,11 @@ from hypothesis import settings
 
 import _gate
 
-# Every property runs without the example database or a deadline.  Each one
-# pins its examples with @seed: the seed derandomize=True drew from a hash of
-# its source text, so an edit to the property keeps the examples it draws.
+# Every property runs without the example database or a deadline, and pins
+# its examples with @seed: the seed derandomize=True derived from a hash of
+# its source text when it was pinned.  Hypothesis also draws the numeric
+# literals of the non-test modules loaded (src/swipt, and perfbench when it
+# is collected), so the examples repeat for the same literals and paths.
 settings.register_profile("tier1", database=None, deadline=None)
 settings.load_profile("tier1")
 

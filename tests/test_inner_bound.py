@@ -20,8 +20,8 @@ rate 0.5*f_w*(log2(1 + a*P_r) + log2(1 + a*P_i)):
 One identity ties the solver to the frontier: kkt_check's power
 multiplier lambda2 is -dR/dP at the solved split, so it times the chord
 slope |dP/dR| of the frontier there is 1.  Correlated parts, the last
-reduction to the paper's inner bound, need the joint moments of ROADMAP
-item 1 and are not shown here.
+reduction to the paper's inner bound, need the joint moments of the two
+parts, which the package does not compute yet, and are not shown here.
 """
 
 import cmath
