@@ -1,6 +1,5 @@
 """Helpers the test modules share: a traced-memory probe, a fresh-process
-CLI runner, the log-uniform Hypothesis strategies and the byte gates'
-fixture check."""
+CLI runner and the log-uniform Hypothesis strategies."""
 
 import contextlib
 import math
@@ -51,11 +50,3 @@ CHANNEL_FIELDS = {"h": log_uniform(1e-3, 1e3), "h_tilde": log_uniform(1e-3, 1e3)
                   "k2": log_uniform(1e-4, 1e2), "k4": log_uniform(1e-4, 1e4)}
 LOG_BUDGETS = log_uniform(1e-6, 1e6)
 
-
-def assert_digests_match(fixture, lines, count, what):
-    """A byte gate: the digest lines equal the fixture's, count of them,
-    and a failure names the moved entries as `what`."""
-    expected = fixture.read_text(encoding="utf-8").splitlines()
-    assert len(lines) == len(expected) == count
-    moved = [e.split()[0] for e, g in zip(expected, lines) if e != g]
-    assert not moved, f"{what} whose returned numbers moved: {moved}"

@@ -420,18 +420,20 @@ def _profile(mu_r=0, mu_i=0, P_r=0, P_i=0, T_r=0, T_i=0, Q_r=0, Q_i=0):
 def test_malformed_input_is_a_config_error(tmp_path, capsys, argv, text):
     """Each malformed input, whether a value, a file or a flag, exits 2
     with nothing on stdout and one error line holding its text, not a
-    traceback.  A row's non-string argument is a file: bytes as they are,
-    any other value as JSON."""
-    def argument(item):
+    traceback.  A text that begins "error: " is the line's prefix, any
+    other is found in it.  A row's non-string argument is a file of its
+    own: bytes as they are, any other value as JSON."""
+    def argument(i, item):
         if isinstance(item, str):
             return item
-        path = tmp_path / "input"
+        path = tmp_path / f"input{i}"
         path.write_bytes(item if isinstance(item, bytes) else json.dumps(item).encode())
         return str(path)
 
-    code = main([argument(item) for item in argv])
+    code = main([argument(i, item) for i, item in enumerate(argv)])
     captured = capsys.readouterr()
-    assert text in _error_line(code, captured.out, captured.err)
+    line = _error_line(code, captured.out, captured.err)
+    assert line.startswith(text) if text.startswith("error: ") else text in line
 
 
 def test_integer_output_path_writes_to_no_descriptor(tmp_path, capsys):

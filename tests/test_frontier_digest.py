@@ -21,8 +21,6 @@ from pathlib import Path
 
 import numpy as np
 
-from _support import assert_digests_match
-
 from swipt.rectenna import ChannelParams
 from swipt.tradeoff import kkt_check, optimal_allocation, pdc_max, pdc_min, rp_region
 
@@ -94,7 +92,11 @@ def digest_lines():
 
 
 def test_frontier_digests_match_fixture():
-    assert_digests_match(FIXTURE, digest_lines(), 32, "channels")
+    expected = FIXTURE.read_text(encoding="utf-8").splitlines()
+    got = digest_lines()
+    assert len(got) == len(expected) == 32
+    moved = [e.split()[0] for e, g in zip(expected, got) if e != g]
+    assert not moved, f"channels whose returned numbers moved: {moved}"
 
 
 if __name__ == "__main__":

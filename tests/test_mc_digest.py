@@ -18,8 +18,6 @@ the old and new values in CHANGES.md.
 import hashlib
 from pathlib import Path
 
-from _support import assert_digests_match
-
 from swipt.moments import FiniteConstellation, GaussianGeneral, GaussianZeroMean
 from swipt.rectenna import ChannelParams
 from swipt.simulate import ESTIMATORS, _kernel, mc_delivered_power, mc_q_tilde
@@ -82,7 +80,11 @@ def digest_lines():
 
 
 def test_mc_digests_match_fixture():
-    assert_digests_match(FIXTURE, digest_lines(), 222, "cases")
+    expected = FIXTURE.read_text(encoding="utf-8").splitlines()
+    got = digest_lines()
+    assert len(got) == len(expected) == 222
+    moved = [e.split()[0] for e, g in zip(expected, got) if e != g]
+    assert not moved, f"cases whose returned numbers moved: {moved}"
 
 
 if __name__ == "__main__":
